@@ -17,9 +17,6 @@ scenarios that together cover the hot paths the fast-path PR optimizes:
 * ``ag1024``      1024-rank chain-scheduled allgather under exact
                   fast-forward — the scaling stress case for the
                   vectorized fold commit path
-* ``ag1024shard`` the same allgather through the parallel-DES engine
-                  (4 shards, inline backend) — virtual time and event
-                  count must match ``ag1024`` bit-for-bit
 * ``ar188``       188-host composed allreduce (INC reduce-scatter →
                   multicast allgather in one submission) — the paper
                   Appendix B shape at testbed scale
@@ -206,30 +203,6 @@ def scenario_ag1024(coalescing: bool, batching: bool = True,
     return _result(wall, res)
 
 
-def scenario_ag1024shard(coalescing: bool, batching: bool = True,
-                         ff: str | None = None) -> Dict[str, float]:
-    # ag1024 through the parallel-DES engine (4 shards, inline backend):
-    # virtual time and event count must match the sequential scenario
-    # bit-for-bit — this pins the shard merge determinism per commit.
-    # The pipe backend is exercised by bench_ff_scaling --smoke and the
-    # determinism tests; keeping the speedometer inline keeps its
-    # wall-clock a single-interpreter signal.
-    fabric = make_fabric(1024, mtu=4096)
-    fabric.set_coalescing(coalescing)
-    cfg = CollectiveConfig(chunk_size=KiB, transport="uc",
-                           recv_batching=batching,
-                           adaptive_cutoff=False, cutoff_alpha=10e-3,
-                           parallel=4,
-                           **_ff_kw(ff, default="exact"))
-    comm = Communicator(fabric, config=cfg)
-    data = [np.full(KiB, r % 251, dtype=np.uint8) for r in range(1024)]
-    t0 = time.perf_counter()
-    res = comm.allgather(data)
-    wall = time.perf_counter() - t0
-    assert res.verify_allgather(data), "allgather payload corrupted"
-    return _result(wall, res)
-
-
 def scenario_ar188(coalescing: bool, batching: bool = True,
                    ff: str | None = None) -> Dict[str, float]:
     fabric = make_fabric(188, mtu=4096)
@@ -271,7 +244,6 @@ SCENARIOS = {
     "fsdp": scenario_fsdp,
     "bcast1024": scenario_bcast1024,
     "ag1024": scenario_ag1024,
-    "ag1024shard": scenario_ag1024shard,
     "ar188": scenario_ar188,
     "a2a16": scenario_a2a16,
 }
@@ -387,7 +359,7 @@ def main(argv=None) -> int:
                     help="disable the packet-train fast path")
     ap.add_argument("--per-cqe", action="store_true",
                     help="disable the receiver-batch fast path")
-    ap.add_argument("--ff", choices=("off", "exact", "banded"), default=None,
+    ap.add_argument("--ff", choices=("off", "exact"), default=None,
                     help="override every scenario's fast-forward mode "
                          "(default: each scenario's pinned mode); with "
                          "--check this is the flow-level equivalence gate")

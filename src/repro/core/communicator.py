@@ -126,28 +126,11 @@ class CollectiveConfig:
     #: flow-level fast-forward: analytically advance fault-inert multicast
     #: phases to the phase boundary in O(links) instead of O(packets).
     #: ``"off"`` — packet/train level everywhere.  ``"exact"`` —
-    #: bit-identical virtual time to the packet-level engine (the fold
-    #: replicates the slow-path float arithmetic; any eligibility-gate
-    #: failure falls back transparently).  ``"banded"`` — per-edge busy
-    #: chains collapse to closed forms with a declared ≤0.5% virtual-time
-    #: tolerance; unlocks 1024–4096-host sweeps.
+    #: bit-identical virtual time, counters and payload to the
+    #: packet-level engine (the fold replicates the slow-path float
+    #: arithmetic, over numpy receiver arrays where the collective's shape
+    #: allows; any eligibility-gate failure falls back transparently).
     fast_forward: str = "off"
-    #: vectorized fold-commit (DESIGN §6f): compute the fast-forward's
-    #: per-receiver CQE/DMA chains as numpy array ops over all receivers
-    #: at once, and run the single-chunk Allgather chain as a
-    #: deferred-commit session — O(P) instead of O(P²) interpreter time.
-    #: Virtual time stays bit-identical (the arrays evaluate the same
-    #: IEEE-754 operations the scalar fold does); off reproduces the
-    #: scalar fold loop-for-loop.
-    ff_vectorized: bool = True
-    #: parallel-DES sharding of the vectorized session's host-level work
-    #: (DESIGN §6f): ``"off"`` — single shard; ``"auto"`` — pick a shard
-    #: count from the collective size and available cores; an integer —
-    #: exactly that many shards (clamped to the host-bearing switch
-    #: count).  Virtual time is bit-identical for every setting; shards
-    #: engage worker processes only at scales where the per-phase work
-    #: dwarfs the pipe round-trip.
-    parallel: object = "off"
     #: cutoff-timer slack α (§III-C): timeout = N/B_link + α
     cutoff_alpha: float = 200e-6
     #: re-arm slack between recovery rounds
@@ -241,18 +224,10 @@ class CollectiveConfig:
             raise ValueError("liveness_probe_retries must be >= 1")
         if self.suspicion_timeout <= 0:
             raise ValueError("suspicion_timeout must be > 0")
-        if self.fast_forward not in ("off", "exact", "banded"):
+        if self.fast_forward not in ("off", "exact"):
             raise ValueError(
-                f"fast_forward must be 'off', 'exact' or 'banded', "
+                f"fast_forward must be 'off' or 'exact', "
                 f"got {self.fast_forward!r}"
-            )
-        if isinstance(self.parallel, bool) or not (
-            self.parallel in ("off", "auto")
-            or (isinstance(self.parallel, int) and self.parallel >= 1)
-        ):
-            raise ValueError(
-                f"parallel must be 'off', 'auto' or an int >= 1, "
-                f"got {self.parallel!r}"
             )
 
 
@@ -1635,8 +1610,6 @@ class Communicator:
             "ff_phases": ff.ff_phases if ff is not None else 0,
             "ff_skipped_events": ff.ff_skipped_events if ff is not None else 0,
             "ff_aborts": ff.ff_aborts if ff is not None else 0,
-            "sync_rounds": ff.total_sync_rounds() if ff is not None else 0,
-            "boundary_msgs": ff.total_boundary_msgs() if ff is not None else 0,
         }
 
     def _run_sync(self, handle: CollectiveHandle) -> CollectiveResult:
@@ -1647,13 +1620,6 @@ class Communicator:
         eng_after = self._engine_snapshot()
         traffic = {k: after[k] - before[k] for k in before}
         engine = {k: eng_after[k] - eng_before[k] for k in eng_before}
-        # Shard count is a gauge, not a counter: report the engine's
-        # sharding only when this run actually synchronized shards.
-        engine["shards"] = (
-            self.ff.par.n_shards
-            if self.ff is not None and self.ff.par is not None
-            and engine["sync_rounds"] > 0 else 0
-        )
         result = handle.result(traffic, engine)
         self.release(handle)
         return result

@@ -8,20 +8,14 @@ into switch multicast tables.  ``validate_plan`` /
 plane purity, per-link load) each family promises.
 """
 
-from .partition import (FabricPartition, PartitionError, partition_fabric,
-                        validate_partition)
 from .plan import (MulticastPlan, PlanError, validate_disjointness,
                    validate_plan)
 from .planners import plan_mcast
 
 __all__ = [
-    "FabricPartition",
     "MulticastPlan",
-    "PartitionError",
     "PlanError",
-    "partition_fabric",
     "plan_mcast",
     "validate_plan",
     "validate_disjointness",
-    "validate_partition",
 ]

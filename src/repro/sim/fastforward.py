@@ -23,19 +23,23 @@ receiver-batch telemetry (``cqe_batches`` / ``batched_cqes``) necessarily
 *drop* under fast-forward — that is the point — so equivalence checks
 compare virtual time, counters and payload digests, never event counts.
 
-Banded mode (``fast_forward="banded"``)
----------------------------------------
-Same gates, same committed byte/packet counters and payloads, but the
-per-edge busy chains are collapsed to closed forms over uniform arrival
-streams (O(1) per edge instead of O(chunks)): completion instants may
-deviate by up to the declared ±0.5% virtual-time tolerance
-(:data:`BANDED_TOLERANCE`).  This is what makes 1024–4096-host sweeps
-tractable.
+Vectorized fold-commit
+----------------------
+Multi-chunk phases with enough receivers fold their per-receiver chains
+as ``[n_rx]``-wide numpy array ops (``_fold_receivers_vec``), and the
+single-chunk Allgather chain runs as a deferred-commit session
+(:class:`_Vec1Session`) over one elementwise host-lane kernel
+(:class:`_HostLanes`).  Both evaluate the same IEEE-754 operations in
+the same order as the scalar fold, so they sit inside the exactness
+contract; which one runs is decided by collective shape alone.  Fault
+changes made outside the fabric's fault schedule while a folded phase's
+packets are in flight are outside the contract (DESIGN §6d).
 
 Eligibility gates (any failure falls back to packet level, permanently
 for the rest of that collective so cursors stay exact):
 
-* knob on, transport UD or UC, single subgroup, chunk fits one segment;
+* ``fast_forward="exact"``, transport UD or UC, single subgroup, chunk
+  fits one segment;
 * exactly one active collective on the communicator;
 * no dead ranks/hosts/switches/links and no pending crash schedule
   (:attr:`Fabric.pending_crashes`);
@@ -53,7 +57,6 @@ for the rest of that collective so cursors stay exact):
 
 from __future__ import annotations
 
-import os
 from heapq import heappush
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -61,20 +64,15 @@ import numpy as np
 
 from repro.core.sequencer import effective_chains
 from repro.net.nic import RecvWR
-from repro.net.plan import PartitionError, partition_fabric
 from repro.net.topology import host_id, is_host
 from repro.sim.engine import _Callback
-from repro.sim.parallel import ParallelEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
     from repro.core.ops import OpState
     from repro.core.progress import RankEngine
 
-__all__ = ["FlowFastForward", "BANDED_TOLERANCE"]
-
-#: declared virtual-time tolerance of ``fast_forward="banded"`` (relative)
-BANDED_TOLERANCE = 5e-3
+__all__ = ["FlowFastForward"]
 
 _INF = float("inf")
 
@@ -125,54 +123,11 @@ class FlowFastForward:
     def __init__(self, comm: "Communicator") -> None:
         self.comm = comm
         self.sim = comm.sim
-        self.mode = comm.config.fast_forward  # 'exact' | 'banded'
-        self.vec = comm.config.ff_vectorized
         # --- telemetry (summed into CollectiveResult.engine) ---
         self.ff_phases = 0  #: phases folded analytically
         self.ff_skipped_events = 0  #: estimated packet-level events avoided
         self.ff_aborts = 0  #: eligibility-gate bailouts (fell back)
         self._sessions: Dict[int, _Session] = {}
-        #: parallel host-level engine (lazy; reused across collectives)
-        self.par: Optional[ParallelEngine] = None
-        self._par_key = None
-        # Retired engines' counters (a partition change recreates the
-        # engine; telemetry must survive that).
-        self._sync_rounds_acc = 0
-        self._boundary_msgs_acc = 0
-        #: test hook: exercise the pipe backend below its size threshold
-        self.force_process = False
-
-    # ---------------------------------------------------- parallel plumbing
-
-    def _resolve_shards(self, n_rx: int) -> int:
-        knob = self.comm.config.parallel
-        if knob == "off":
-            return 1
-        if knob == "auto":
-            if n_rx < 256:
-                return 1
-            return min(4, os.cpu_count() or 1)
-        return max(1, int(knob))
-
-    def _get_par(self, slices: List[Tuple[int, int]], backend: str
-                 ) -> ParallelEngine:
-        key = (tuple(slices), backend)
-        if self.par is None or self._par_key != key:
-            if self.par is not None:
-                self._sync_rounds_acc += self.par.sync_rounds
-                self._boundary_msgs_acc += self.par.boundary_msgs
-                self.par.close()
-            self.par = ParallelEngine(slices, backend)
-            self._par_key = key
-        return self.par
-
-    def total_sync_rounds(self) -> int:
-        return self._sync_rounds_acc + (
-            self.par.sync_rounds if self.par is not None else 0)
-
-    def total_boundary_msgs(self) -> int:
-        return self._boundary_msgs_acc + (
-            self.par.boundary_msgs if self.par is not None else 0)
 
     def preempt_vec(self) -> None:
         """Flush every deferred vectorized session *now* — called before a
@@ -267,7 +222,7 @@ class FlowFastForward:
         vs = sess.vec
         if vs is not None:
             return vs.fold_phase(engine, op)
-        if (op.kind == "allgather" and n_chunks == 1 and self.vec
+        if (op.kind == "allgather" and n_chunks == 1
                 and not fabric._stragglers and not sess.vec_unsupported):
             vs = _Vec1Session.build(self, engine, op, participants, sess)
             if vs is None:
@@ -321,7 +276,7 @@ class FlowFastForward:
         rx_folds = sess.rx_folds
         del rx_folds[:]
         fin_max = send_done
-        if (self.vec and n_chunks >= 4 and not fabric._stragglers
+        if (n_chunks >= 4 and not fabric._stragglers
                 and n_chunks * len(arrivals_by_host) >= 512):
             # Matrix path: the per-receiver chains are independent, so the
             # chunk loop runs as [n_rx]-wide array ops (same expressions,
@@ -413,7 +368,6 @@ class FlowFastForward:
         unexpected receiver).
         """
         fabric = engine.fabric
-        banded = self.mode == "banded"
         n = len(wires)
         min_wire = min(wires)
         # Per-chunk train membership: a batch rides the wire as one train
@@ -475,19 +429,6 @@ class FlowFastForward:
                     start = t_inj if t_inj > prev else prev
                     prev = start + wires[0] / bw
                     outs_lat = [prev + lat]
-                elif banded:
-                    # Closed-form uniform-stream fold: O(1) per edge.
-                    first_in, last_in = inj[0], inj[-1]
-                    start0 = first_in if first_in > prev else prev
-                    out_first = start0 + wires[0] / bw
-                    serial = bytes_sum / bw
-                    tail = last_in + wires[-1] / bw
-                    queued = start0 + serial
-                    out_last = tail if tail > queued else queued
-                    step = (out_last - out_first) / (n - 1)
-                    outs_lat = [out_first + i * step + lat for i in range(n)]
-                    outs_lat[-1] = out_last + lat
-                    prev = out_last
                 else:
                     outs_lat = []
                     for i, t_inj in enumerate(inj):
@@ -681,8 +622,7 @@ class FlowFastForward:
         trc = engine.trace
         t_hook = sim.now
         if trc is not None:
-            trc.instant("engine.ff_enter", t_hook,
-                        {"chunks": n_chunks, "mode": self.mode})
+            trc.instant("engine.ff_enter", t_hook, {"chunks": n_chunks})
         # --- channel + switch counters, busy watermarks -------------------
         for ch, busy, packets, ch_bytes, payload, trains, train_pkts in chans:
             ch.busy_until = busy
@@ -795,6 +735,101 @@ class FlowFastForward:
         op_r.maybe_complete()
 
 
+class _HostLanes:
+    """Host-level chain state of every receiver lane of a
+    :class:`_Vec1Session`: the leaf→host edge busy chain, the receive
+    worker's CQE chain and (UD) the staging DMA drain, as ``[P]`` arrays.
+
+    ``leaf_of`` maps each lane to the index of its hosting switch in the
+    per-phase injection vector.  A phase is computed into pending
+    buffers and committed lazily by the next ``phase`` (or by
+    ``final_state``), so a veto needs only ``rollback``.
+    """
+
+    def __init__(self, uc: bool, c1: float, c2: float, leaf_of: np.ndarray,
+                 bw: np.ndarray, lat: np.ndarray, hd_busy: np.ndarray,
+                 dma_bw: Optional[np.ndarray] = None,
+                 dma_lat: Optional[np.ndarray] = None,
+                 dma_busy: Optional[np.ndarray] = None) -> None:
+        n = len(hd_busy)
+        self.uc = uc
+        self.c1 = c1
+        self.c2 = c2
+        self.leaf_of = leaf_of
+        self.bw = bw
+        self.lat = lat
+        self.hd_busy = hd_busy
+        self.cursor = np.zeros(n)
+        self.last_arr = np.full(n, -_INF)
+        self.last_fin = np.full(n, -_INF)
+        self.dma_bw = dma_bw
+        self.dma_lat = dma_lat
+        self.dma_busy = dma_busy
+        self._pending: Optional[Tuple[np.ndarray, ...]] = None
+
+    def commit(self) -> None:
+        p = self._pending
+        if p is not None:
+            (self.hd_busy, self.cursor, self.last_arr, self.last_fin,
+             self.dma_busy) = p
+            self._pending = None
+
+    def rollback(self) -> None:
+        self._pending = None
+
+    def phase(self, w: float, ln: float, leaf_inj: np.ndarray, s: int):
+        """Compute one phase sent by lane *s* into pending buffers
+        (committing the previous pending phase first).  Returns
+        ``(ok, fin_max, fins)``; ``fins`` holds every lane's done instant,
+        ``-inf`` for the sender.
+
+        Every expression replicates the scalar fold's arithmetic
+        elementwise — same operation shapes, same order — so the
+        committed instants are bit-identical to the per-receiver loop
+        (DESIGN §6d exactness contract).
+        """
+        self.commit()
+        # The sender receives nothing: compute the full vectors, then
+        # restore its lane from the old state below.
+        save = (self.hd_busy[s], self.cursor[s], self.last_arr[s],
+                self.last_fin[s], None if self.uc else self.dma_busy[s])
+        inj = leaf_inj[self.leaf_of]
+        start = np.maximum(inj, self.hd_busy)
+        hd_busy = start + w / self.bw
+        a = hd_busy + self.lat
+        # Strict non-interleave gate (sender lane exempt).
+        ok_arr = a > self.last_arr
+        ok_arr[s] = True
+        if not ok_arr.all():
+            return False, -_INF, None
+        anchor = np.maximum(a, self.cursor)
+        t = anchor + self.c1
+        t = t + self.c2
+        if self.uc:
+            fins = t  # UC fin is the worker cursor itself
+            dma_busy = None
+        else:
+            d_start = np.maximum(t, self.dma_busy)
+            dma_busy = d_start + ln / self.dma_bw
+            fins = dma_busy + self.dma_lat
+            dma_busy[s] = save[4]
+        hd_busy[s] = save[0]
+        t[s] = save[1]
+        a[s] = save[2]
+        last_fin = fins.copy()
+        last_fin[s] = save[3]
+        out_fins = last_fin.copy()
+        out_fins[s] = -_INF
+        self._pending = (hd_busy, t, a, last_fin, dma_busy)
+        return True, float(out_fins.max()), out_fins
+
+    def final_state(self) -> Dict[str, np.ndarray]:
+        self.commit()
+        return {"hd_busy": self.hd_busy, "cursor": self.cursor,
+                "last_arr": self.last_arr, "last_fin": self.last_fin,
+                "dma_busy": self.dma_busy}
+
+
 class _Vec1Session:
     """Deferred-commit vectorized session for the single-chunk Allgather
     chain (DESIGN §6f) — the path that makes 4096+-host allgathers CI-fast.
@@ -809,8 +844,7 @@ class _Vec1Session:
       one scalar up-chain plus one ``[n_leaves]`` vector of down-chains;
     * every host appears in exactly one leaf, so the P-1 receiver chains
       are independent elementwise recurrences over ``[P]`` arrays —
-      computed by :class:`repro.sim.parallel.ShardCore`, optionally
-      sharded across processes along the fabric partition;
+      computed by :class:`_HostLanes` in one slice over all receivers;
     * phases are serialized by bypass-lane MSG_ACTIVATE control messages
       that never touch a channel's ``busy_until``, so **all** object-level
       commits (channel watermarks, counters, bitmaps, payload copies) can
@@ -821,10 +855,11 @@ class _Vec1Session:
     Exactness: every expression replicates the generic fold's float
     arithmetic elementwise (numpy float64 ops are the same IEEE-754
     operations), so committed instants are bit-identical to the scalar
-    engine for every shard count and backend.  Gate *strictness* may
-    diverge (this session caches conservative bounds where the scalar
-    fold recomputes); in exact mode that is invisible — the packet path
-    the abort falls back to is itself bitwise-identical to the fold.
+    fold and the packet engine.  Gate *strictness* may diverge (this
+    session caches conservative bounds where the scalar fold
+    recomputes); that is invisible — the packet path the abort falls
+    back to is itself bitwise-identical to the fold.  Receiver lanes are
+    ordered by (canonical position of the hosting switch, rank).
 
     Known seam: the scalar fold pops a receive WR per fold and re-posts
     it at the fold's finisher; this session leaves the queue untouched
@@ -915,43 +950,15 @@ class _Vec1Session:
         if set(host_sw) != set(hosts):
             return None
 
-        # --- partition-aware ordering -------------------------------------
-        try:
-            part = partition_fabric(fabric, ff._resolve_shards(P))
-        except PartitionError:
-            return None
+        # --- lane order: (canonical hosting-switch position, rank) ---------
         canon = {s: i for i, s in enumerate(fabric.topology.switch_names)}
         if any(s not in canon for s in tree):
             return None
-        bswitches = sorted(tree, key=lambda s: (part.switch_shard[s],
-                                                canon[s]))
+        bswitches = sorted(tree, key=canon.__getitem__)
         bpos = {s: i for i, s in enumerate(bswitches)}
-        n_sh = part.n_shards
-        leaf_slices: List[Tuple[int, int]] = []
-        i = 0
-        for k in range(n_sh):
-            lo = i
-            while (i < len(bswitches)
-                   and part.switch_shard[bswitches[i]] == k):
-                i += 1
-            leaf_slices.append((lo, i))
-        if i != len(bswitches):
-            return None
         host_of_rank = dict(zip(ranks, hosts))
-        perm = sorted(ranks, key=lambda r: (
-            part.switch_shard[host_sw[host_of_rank[r]]],
-            bpos[host_sw[host_of_rank[r]]], r))
+        perm = sorted(ranks, key=lambda r: (bpos[host_sw[host_of_rank[r]]], r))
         pos = {r: j for j, r in enumerate(perm)}
-        rx_slices: List[Tuple[int, int]] = []
-        i = 0
-        for k in range(n_sh):
-            lo = i
-            while (i < P and part.switch_shard[
-                    host_sw[host_of_rank[perm[i]]]] == k):
-                i += 1
-            rx_slices.append((lo, i))
-        if i != P:
-            return None
 
         self = cls()
         self.ff = ff
@@ -1095,8 +1102,7 @@ class _Vec1Session:
         self.leaf_bidx = np.array([bpos[s] for s in leaves], dtype=np.intp)
         self.tree_sw = [(fabric.switches[s], len(tree[s])) for s in tree]
         self.chans_per_phase = 1 + sum(len(p) - 1 for p in tree.values())
-        self.n_b = len(bswitches)
-        self.b_scratch = np.empty(self.n_b)
+        self.b_scratch = np.empty(len(bswitches))
 
         # --- hoisted per-phase gates --------------------------------------
         cost = engine.cost
@@ -1140,32 +1146,20 @@ class _Vec1Session:
         self.sent = [False] * P
         self.completed = [False] * P
 
-        # --- shard engine --------------------------------------------------
-        backend = ("process"
-                   if n_sh > 1 and (P >= 8192 or ff.force_process)
-                   else "inline")
-        state = {
-            "uc": uc,
-            "c1": cost.cqe_poll + cost.cqe_process,
-            "c2": (cost.recv_repost if uc
-                   else cost.copy_issue + cost.recv_repost),
-            "min_deadline": _INF,  # deadline gating is coordinator-side
-            "leaf_of": s_bpos,
-            "bw": hd_bw,
-            "lat": hd_lat,
-            "hd_busy": hd_busy,
-            "cursor": np.zeros(P),
-            "last_arr": np.full(P, -_INF),
-        }
-        if not uc:
-            state["dma_bw"] = np.array(
-                [e.dma.bandwidth for e in self.engines_p])
-            state["dma_lat"] = np.array(
-                [e.dma.latency for e in self.engines_p])
-            state["dma_busy"] = np.array(
-                [e.dma.busy_until for e in self.engines_p])
-        self.par = ff._get_par(rx_slices, backend)
-        self.par.start_session(state, leaf_slices)
+        # --- host-lane kernel ----------------------------------------------
+        if uc:
+            self.lanes = _HostLanes(
+                True, cost.cqe_poll + cost.cqe_process, cost.recv_repost,
+                s_bpos, hd_bw, hd_lat, hd_busy)
+        else:
+            engines_p = self.engines_p
+            self.lanes = _HostLanes(
+                False, cost.cqe_poll + cost.cqe_process,
+                cost.copy_issue + cost.recv_repost,
+                s_bpos, hd_bw, hd_lat, hd_busy,
+                np.array([e.dma.bandwidth for e in engines_p]),
+                np.array([e.dma.latency for e in engines_p]),
+                np.array([e.dma.busy_until for e in engines_p]))
         return self
 
     # ------------------------------------------------------------ per phase
@@ -1251,9 +1245,8 @@ class _Vec1Session:
             dnew = None
         b[self.root_bpos] = inj_r
         b[self.s_bpos[i]] = inj_as
-        # --- shard sync: one lookahead window over the cut edges ---------
-        want_fins = nf >= self.P - 2
-        ok, fin_rx, fins = self.par.phase(w, ln, b, i, want_fins)
+        # --- receiver lanes: every host-level chain at once ---------------
+        ok, fin_rx, fins = self.lanes.phase(w, ln, b, i)
         if not ok:
             return self.abort_flush()
         fin_all = fin_rx if fin_rx > send_done else send_done
@@ -1277,8 +1270,8 @@ class _Vec1Session:
         # --- completions: delivered(r) == P-1 ----------------------------
         nf1 = nf + 1
         if nf1 >= self.P - 1:
-            # Fixed ascending-rank order keeps the event heap identical
-            # for every shard count.
+            # Ascending-rank order fixes the completion events' heap
+            # sequence numbers independently of the lane order.
             for j in self.rank_order:
                 if self.completed[j]:
                     continue
@@ -1286,9 +1279,7 @@ class _Vec1Session:
                     self.completed[j] = True
                     sim.post_at(float(fins[j]), self._complete_rx, j)
         if nf1 == self.P:
-            state = self.par.final_state()
-            self.par.end_session()
-            self._flush_fabric(state)
+            self._flush_fabric(self.lanes.final_state())
             self.done = True
             self.sess.vec = None
 
@@ -1305,13 +1296,7 @@ class _Vec1Session:
         ff.ff_skipped_events += self.chans_per_phase + 3 * (self.P - 1) + 2
         trc = engine.trace
         if trc is not None:
-            trc.instant("engine.ff_enter", t_hook,
-                        {"chunks": 1, "mode": ff.mode})
-            trc.instant("engine.shard_sync", t_hook,
-                        {"shards": self.par.n_shards, "phase": nf})
-            trc.instant("engine.boundary_xfer", t_hook,
-                        {"msgs": 2 * self.par.n_shards,
-                         "bytes": 8 * self.n_b})
+            trc.instant("engine.ff_enter", t_hook, {"chunks": 1})
             trc.instant("engine.ff_exit", t_hook,
                         {"until": fin_all, "send_done": send_done})
         return send_done
@@ -1344,9 +1329,8 @@ class _Vec1Session:
         self.aborted = True
         sim = self.sim
         now = sim.now
-        self.par.rollback()  # drop any tentative (uncommitted) phase
-        state = self.par.final_state()
-        self.par.end_session()
+        self.lanes.rollback()  # drop any tentative (uncommitted) phase
+        state = self.lanes.final_state()
         self._flush_fabric(state)
         # --- per-rank partial bitmap/payload from the folded psn runs -----
         runs = self._psn_runs()
