@@ -18,8 +18,9 @@ Entry modes:
 
 * ``--smoke`` — the CI ``scaling-smoke`` job: exact broadcast +
   allgather at 1024 AND 4096 hosts, an ag4096/ag1024 wall-clock
-  scaling-ratio gate, a hard wall-clock budget, and ``ff_phases``
-  assertions that fail loudly if the fold silently disengages.  The
+  scaling-ratio gate, a hard wall-clock budget, and ``ff_phases`` and
+  ``ff_barriers`` assertions that fail loudly if the data fold or the
+  barrier fold silently disengages.  The
   result table is persisted to
   ``benchmarks/results/ff_scaling_smoke.txt`` for artifact upload.
 * default — the full sweep (minutes: the ``pkt`` column at 2048 hosts
@@ -84,6 +85,7 @@ def run_broadcast(n_hosts: int, mode: str,
         "events": res.engine["sim_events"],
         "virtual_s": res.duration,
         "ff_phases": res.engine.get("ff_phases", 0),
+        "ff_barriers": res.engine.get("ff_barriers", 0),
     }
 
 
@@ -106,6 +108,9 @@ def run_allgather(n_ranks: int, mode: str,
         cutoff_alpha=cutoff_alpha,
     )
     comm = Communicator(fabric, config=cfg)
+    # Warm-up, as for the broadcast: a small broadcast builds the control
+    # QP mesh the allgather's barrier, activations and handshake use.
+    comm.broadcast(0, np.zeros(per_rank, dtype=np.uint8))
     datas = [np.full(per_rank, r % 251, dtype=np.uint8) for r in range(n_ranks)]
     t0 = time.perf_counter()
     res = comm.allgather(datas)
@@ -116,6 +121,7 @@ def run_allgather(n_ranks: int, mode: str,
         "events": res.engine["sim_events"],
         "virtual_s": res.duration,
         "ff_phases": res.engine.get("ff_phases", 0),
+        "ff_barriers": res.engine.get("ff_barriers", 0),
     }
 
 
@@ -181,7 +187,12 @@ def smoke(budget_s: float) -> int:
                      f"{r['events']:,}", f"{r['virtual_s'] * 1e6:.3f}",
                      str(r["ff_phases"]), note])
         print(f"  smoke {kind} n={n} ({note}): wall={r['wall_s']:.2f}s "
-              f"ff_phases={r['ff_phases']}", flush=True)
+              f"ff_phases={r['ff_phases']} ff_barriers={r['ff_barriers']}",
+              flush=True)
+        if r["ff_barriers"] <= 0:
+            failures.append(
+                f"{kind} n={n} ({note}): barrier fold disengaged "
+                "(ff_barriers=0) — the RNR barrier ran at packet level")
 
     b = run_broadcast(1024, "exact")
     row("broadcast", 1024, b)

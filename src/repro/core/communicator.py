@@ -272,8 +272,10 @@ class CollectiveResult:
     buffers: List[np.ndarray]
     traffic: Dict[str, int]
     #: simulator engine telemetry for this collective: events processed,
-    #: coalesced trains and train packets (fast-path coverage)
-    engine: Dict[str, int] = field(default_factory=dict)
+    #: coalesced trains and train packets (fast-path coverage), folds;
+    #: ``ff_barrier_declines`` maps each barrier-fold decline reason to
+    #: its count
+    engine: Dict[str, object] = field(default_factory=dict)
     #: trace snapshot clipped to this collective's window, when the
     #: communicator was built with ``trace=TraceConfig(...)``
     trace: Optional[TraceView] = None
@@ -548,9 +550,11 @@ class OpHandle(CollectiveHandle):
         for engine in self.comm.engines:
             engine.release_op(self.coll_id)
         self.comm._op_procs.pop(self.coll_id, None)
+        if self.comm.ff is not None:
+            self.comm.ff.release(self.coll_id)
 
     def result(self, traffic: Optional[Dict[str, int]] = None,
-               engine: Optional[Dict[str, int]] = None) -> CollectiveResult:
+               engine: Optional[Dict[str, object]] = None) -> CollectiveResult:
         if not self.complete:
             raise RuntimeError("collective has not completed")
         # Dead ranks' ops are abandoned, not completed — their phase records
@@ -689,7 +693,7 @@ class BaselineHandle(CollectiveHandle):
         return self._base
 
     def result(self, traffic: Optional[Dict[str, int]] = None,
-               engine: Optional[Dict[str, int]] = None) -> CollectiveResult:
+               engine: Optional[Dict[str, object]] = None) -> CollectiveResult:
         if not self.complete:
             raise RuntimeError("collective has not completed")
         if self._crash_aborted:
@@ -831,7 +835,7 @@ class ComposedHandle(CollectiveHandle):
             sub._release()
 
     def result(self, traffic: Optional[Dict[str, int]] = None,
-               engine: Optional[Dict[str, int]] = None) -> CollectiveResult:
+               engine: Optional[Dict[str, object]] = None) -> CollectiveResult:
         if not self.complete:
             raise RuntimeError("collective has not completed")
         if not self._proc.ok:
@@ -1179,6 +1183,11 @@ class Communicator:
             # second collective's packets can observe channel state; the
             # overlap is only detected at the *next* fold hook — too late.
             self.ff.preempt_vec()
+            if kind in (CollectiveKind.BROADCAST, CollectiveKind.ALLGATHER,
+                        CollectiveKind.ALLREDUCE):
+                # Its control messages could land between a folded
+                # barrier's: run that barrier's rest at packet level.
+                self.ff.preempt_barriers()
         if kind is CollectiveKind.BROADCAST:
             handle = self._launch_broadcast(request.root, request.data)
         elif kind is CollectiveKind.ALLGATHER:
@@ -1599,7 +1608,7 @@ class Communicator:
             "rnr_drops": self.fabric.total_rnr_drops(),
         }
 
-    def _engine_snapshot(self) -> Dict[str, int]:
+    def _engine_snapshot(self) -> Dict[str, object]:
         ff = self.ff
         return {
             "sim_events": self.sim.events_processed,
@@ -1610,6 +1619,9 @@ class Communicator:
             "ff_phases": ff.ff_phases if ff is not None else 0,
             "ff_skipped_events": ff.ff_skipped_events if ff is not None else 0,
             "ff_aborts": ff.ff_aborts if ff is not None else 0,
+            "ff_barriers": ff.ff_barriers if ff is not None else 0,
+            "ff_barrier_declines": (dict(ff.barrier_declines)
+                                    if ff is not None else {}),
         }
 
     def _run_sync(self, handle: CollectiveHandle) -> CollectiveResult:
@@ -1619,7 +1631,14 @@ class Communicator:
         after = self._snapshot()
         eng_after = self._engine_snapshot()
         traffic = {k: after[k] - before[k] for k in before}
-        engine = {k: eng_after[k] - eng_before[k] for k in eng_before}
+        engine = {k: eng_after[k] - eng_before[k] for k in eng_before
+                  if k != "ff_barrier_declines"}
+        # Decline reasons: a histogram of this collective's decline counts.
+        declines_before = eng_before["ff_barrier_declines"]
+        engine["ff_barrier_declines"] = {
+            reason: n - declines_before.get(reason, 0)
+            for reason, n in eng_after["ff_barrier_declines"].items()
+            if n != declines_before.get(reason, 0)}
         result = handle.result(traffic, engine)
         self.release(handle)
         return result

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.net.nic import CompletionQueue, QueuePair, RecvWR, SendWR
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.sim.primitives import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,6 +65,8 @@ _ANY_SOURCE = {MSG_FETCH_REQ}
 _SLOT_BYTES = 32
 _SLOTS_PER_QP = 16
 _WORDS = 6  # mtype, key, src_rank, a0, a1, a2
+#: payload bytes of every control message on the wire
+CTRL_PAYLOAD_BYTES = _WORDS * 4
 
 
 class CtrlMessage(tuple):
@@ -124,10 +126,17 @@ class ControlPlane:
         self.qps: Dict[int, QueuePair] = {}
         self._slot_mr = None
         self._slot_qp: Dict[int, QueuePair] = {}
+        #: slot → its receive WR, validated once at post time and re-posted
+        #: as is after every message (``post_recv_cached``)
+        self._slot_wr: Dict[int, RecvWR] = {}
         self._n_slots = 0
         self._inboxes: Dict[tuple, Store] = {}
         self.messages_sent = 0
         self.messages_received = 0
+        #: virtual instant until which a folded barrier keeps the dispatcher
+        #: busy (see ``FlowFastForward.try_barrier``): a message that lands
+        #: earlier waits for it, as it would behind the packet-level chain
+        self.busy_until = 0.0
         #: peer rank → virtual time of the last message heard from it.
         #: Every control message doubles as a liveness heartbeat, so the
         #: suspicion logic can often clear a peer without spending a probe.
@@ -151,9 +160,9 @@ class ControlPlane:
         for i in range(_SLOTS_PER_QP):
             slot = base + i
             self._slot_qp[slot] = qp
-            qp.post_recv(
-                RecvWR(wr_id=slot, mr_key=mr.key, offset=i * _SLOT_BYTES, length=_SLOT_BYTES)
-            )
+            wr = self._slot_wr[slot] = RecvWR(
+                wr_id=slot, mr_key=mr.key, offset=i * _SLOT_BYTES, length=_SLOT_BYTES)
+            qp.post_recv(wr)
         # Keep per-QP MRs; remember via closure on the WRs (offsets local).
         if self._slot_mr is None:
             self._slot_mr = {}
@@ -171,15 +180,38 @@ class ControlPlane:
         """Post a control message (non-blocking, reliable, ordered per peer)."""
         if len(args) > _WORDS - 3:
             raise ValueError(f"control message supports up to {_WORDS - 3} args")
+        qp = self._qp_to(dst_rank)
+        qp.post_send(SendWR(wr_id=0, verb="send",
+                            inline_data=self.encode(mtype, key, args),
+                            signaled=False))
+        self.messages_sent += 1
+
+    def encode(self, mtype: int, key: int, args: Sequence[int] = ()) -> np.ndarray:
+        """The wire words of a message from this rank."""
         words = np.zeros(_WORDS, dtype=np.uint32)
         words[0] = mtype
         words[1] = key
         words[2] = self.rank
         for i, a in enumerate(args):
             words[3 + i] = a
-        qp = self._qp_to(dst_rank)
-        qp.post_send(SendWR(wr_id=0, verb="send", inline_data=words, signaled=False))
-        self.messages_sent += 1
+        return words
+
+    # ------------------------------------------- preempted barrier fold
+
+    def stage_folded(self, slot: int, words: np.ndarray) -> None:
+        """Place a message's words in receive *slot*, as the NIC did when
+        it landed (the dispatcher decodes them from there)."""
+        mr = self._slot_mr[self._slot_qp[slot].qpn]
+        local = slot % _SLOTS_PER_QP
+        mr.view(local * _SLOT_BYTES, _WORDS * 4)[:] = words.view(np.uint8)
+
+    def finish_folded(self, slot: int, msg: CtrlMessage) -> None:
+        """The dispatcher's tail for a message it was processing when a
+        barrier fold was preempted, run at that message's done instant."""
+        self._slot_qp[slot].post_recv_cached(self._slot_wr[slot])
+        self.messages_received += 1
+        self.last_heard[msg.src] = self.sim.now
+        self._inbox(msg.mtype, msg.key, msg.src).put(msg)
 
     def _inbox(self, mtype: int, key: int, src: Optional[int]) -> Store:
         # Any-source types (servers) get one inbox per type; the message
@@ -200,19 +232,33 @@ class ControlPlane:
             raise ValueError(f"mtype {mtype} requires an explicit source rank")
         return self._inbox(mtype, key, src).get()
 
+    def drop_idle_inboxes(self) -> None:
+        """Forget every inbox with no queued message and no waiter.
+
+        Inboxes are keyed per (type, key, source), so each collective
+        leaves its own behind; a later ``recv``/delivery simply creates a
+        fresh one, so dropping an idle inbox changes no behaviour.
+        """
+        idle = [k for k, st in self._inboxes.items()
+                if not st.items and not st._getters and not st._putters]
+        for k in idle:
+            del self._inboxes[k]
+
     def _dispatch_loop(self):
-        mr_of = lambda qp: self._slot_mr[qp.qpn]  # noqa: E731
+        sim = self.sim
+        cq = self.recv_cq
         while True:
-            yield self.recv_cq.wait()
-            for cqe in self.recv_cq.poll():
+            yield cq.wait()
+            if sim.now < self.busy_until:
+                # Still busy with the messages of a folded barrier.
+                yield sim.wake_at(self.busy_until)
+            for cqe in cq.poll():
                 if self.per_message_cost > 0.0:
                     # Progress-thread cycles spent on the control path.
-                    from repro.sim.events import Timeout
-
-                    yield Timeout(self.sim, self.per_message_cost)
+                    yield Timeout(sim, self.per_message_cost)
                 slot = cqe.wr_id
                 qp = self._slot_qp[slot]
-                mr = mr_of(qp)
+                mr = self._slot_mr[qp.qpn]
                 local = slot % _SLOTS_PER_QP
                 words = mr.view(local * _SLOT_BYTES, _WORDS * 4).view(np.uint32)
                 msg = CtrlMessage(
@@ -221,11 +267,8 @@ class ControlPlane:
                     key=int(words[1]),
                     args=tuple(int(w) for w in words[3:_WORDS]),
                 )
-                # Re-post the cached WR immediately (slot content consumed).
-                qp.post_recv(
-                    RecvWR(wr_id=slot, mr_key=mr.key, offset=local * _SLOT_BYTES,
-                           length=_SLOT_BYTES)
-                )
+                # Re-post the slot immediately (its content is consumed).
+                qp.post_recv_cached(self._slot_wr[slot])
                 self.messages_received += 1
                 self.last_heard[msg.src] = self.sim.now
                 if msg.mtype == MSG_PING:
@@ -242,11 +285,15 @@ class ControlPlane:
 
     # --------------------------------------------------------------- barrier
 
-    def barrier(self, tag: int, ranks: Optional[List[int]] = None):
+    def barrier(self, tag: int, ranks: Optional[List[int]] = None,
+                resume_round: Optional[int] = None):
         """Dissemination barrier among *ranks* (generator; ``yield from`` it).
 
         ``tag`` must be unique per logical barrier instance (e.g. the
         collective id); rounds are disambiguated in the key's low bits.
+        ``resume_round`` picks up a barrier whose earlier rounds ran
+        elsewhere (a preempted fold): that round's message was already
+        sent, so the rank only waits for its peer's.
 
         *ranks* is required: every participant must pass the **same**
         ordered list.  Deriving it from the set of already-created control
@@ -262,13 +309,14 @@ class ControlPlane:
             )
         me = ranks.index(self.rank)
         p = len(ranks)
-        k = 1
-        rnd = 0
+        rnd = 0 if resume_round is None else resume_round
+        k = 1 << rnd
         while k < p:
             dst = ranks[(me + k) % p]
             src = ranks[(me - k) % p]
             key = (tag << 6) | rnd
-            self.send(dst, MSG_BARRIER, key)
+            if rnd != resume_round:
+                self.send(dst, MSG_BARRIER, key)
             msg = yield self.recv(MSG_BARRIER, key, src)
             assert msg.mtype == MSG_BARRIER
             k <<= 1

@@ -49,7 +49,7 @@ from repro.core.reliability import (
 from repro.core.staging import StagingRing
 from repro.net.dma import DmaEngine
 from repro.net.nic import RecvWR, SendWR, Transport
-from repro.sim.events import PASSIVE_WAIT, AnyOf, Timeout
+from repro.sim.events import PASSIVE_WAIT, AnyOf, Interrupt, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
@@ -236,6 +236,8 @@ class RankEngine:
         op = self.ops.pop(coll_id, None)
         if op is not None:
             self.nic.memory.deregister(op.mr.key)
+        # The collective's barrier/activation/final inboxes are spent.
+        self.ctrl.drop_idle_inboxes()
 
     # ----------------------------------------------------------- recv worker
 
@@ -1077,7 +1079,23 @@ class RankEngine:
             if live:
                 yield from self._barrier_live(op, op.coll_id, participants)
             else:
-                yield from self.ctrl.barrier(tag=op.coll_id, ranks=participants)
+                # Barrier fold: every rank sleeps straight to its exit
+                # instant; any gate miss runs the packet barrier.
+                ff = self.comm.ff
+                exit_at = (ff.try_barrier(self, op, participants)
+                           if ff is not None else None)
+                if exit_at is None:
+                    yield from self.ctrl.barrier(tag=op.coll_id, ranks=participants)
+                else:
+                    try:
+                        yield self.sim.wake_at(exit_at)
+                    except Interrupt as preempt:
+                        # A control-plane collective was admitted inside
+                        # the folded window: finish at packet level from
+                        # the round this rank is blocked in.
+                        yield from self.ctrl.barrier(
+                            tag=op.coll_id, ranks=participants,
+                            resume_round=preempt.cause)
         op.mark_phase("sync")
         # Cutoff timer (§III-C): N/B + α, where N bounds the bytes that
         # must cross the receive path.  For Allgather the chain schedule

@@ -115,6 +115,9 @@ class Fabric:
         #: session start and re-checks only this counter per phase: any
         #: mid-run fault injection invalidates the cached verdicts.
         self.fault_epoch = 0
+        #: bumped whenever unicast routes are reprogrammed (route caches
+        #: key on it)
+        self.route_epoch = 0
         # --- fail-stop state (crashes are permanent; sets only grow) ---
         self.dead_hosts: Set[int] = set()
         self.dead_switches: Set[str] = set()
@@ -416,6 +419,7 @@ class Fabric:
         the subnet-manager sweep after a hard failure."""
         if exclude is None:
             exclude = self.dead_node_names()
+        self.route_epoch += 1
         tables = self.topology.unicast_tables(exclude)
         for sw_name, table in tables.items():
             sw = self.switches[sw_name]

@@ -68,6 +68,8 @@ TRACEPOINTS: Dict[str, Any] = {
     "engine.ff_enter": ("i", "flow fast-forward fold began (args: chunks)"),
     "engine.ff_exit": ("i", "flow fast-forward fold committed "
                             "(args: until, send_done)"),
+    "engine.ff_barrier": ("i", "RNR barrier folded in closed form "
+                               "(args: ranks, rounds, until)"),
     # -- DPA scheduler ----------------------------------------------------
     "dpa.compute": ("X", "DPA thread occupies a core pipe for a segment"),
 }

@@ -143,7 +143,6 @@ class Simulator:
         # Heap of (time, seq, event).  `seq` breaks ties deterministically.
         self._queue: List[Tuple[float, int, Any]] = []
         self._running = False
-        self._processes: "List[Any]" = []  # live Process objects (for debugging)
         self.events_processed: int = 0
         # Observability hook: called as trace_hook(when) for every event the
         # loop fires.  None (the default) keeps the hot loops hook-free —
@@ -313,9 +312,7 @@ class Simulator:
         """
         from repro.sim.process import Process  # local import to avoid a cycle
 
-        proc = Process(self, generator, name=name)
-        self._processes.append(proc)
-        return proc
+        return Process(self, generator, name=name)
 
     # ------------------------------------------------------------------- run
 

@@ -53,17 +53,42 @@ for the rest of that collective so cursors stay exact):
 * no recovery ran on any participant, and the folded phase completes
   strictly before every armed (or arming) cutoff deadline — so no
   recovery or fetch can observe the eagerly-committed bitmap bits.
+
+Barrier fold (:meth:`FlowFastForward.try_barrier`, DESIGN §6g)
+------------------------------------------------------------
+The RNR dissemination barrier folds as per-round vector recurrences
+over the control bypass lane.  Its gates, each a named decline reason:
+
+* ``fast_forward="exact"`` and ``failure_policy=None`` (the hook is
+  only reached then); ``ff_exclusive``;
+* no dead rank/host/switch/link and no pending crash;
+* at most one data injector at exit: a broadcast, or an allgather with
+  one effective chain;
+* every participant enters at the launch instant;
+* every control QP pair exists and routes resolve to the peer's NIC;
+* every dispatcher parked on an empty CQ, no control message in flight;
+* every path channel up, RC-protected, no bandwidth window ahead, and
+  control packets within ``ctrl_bypass_bytes``;
+* no ties (strictly increasing arrivals per receiver) and the fence
+  ``max last_arrival < min exit + d_lb``.
+
+A control-plane collective admitted inside the folded window preempts
+it (:meth:`FlowFastForward.preempt_barriers`).
 """
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappush
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.control import CTRL_PAYLOAD_BYTES, MSG_BARRIER, CtrlMessage
 from repro.core.sequencer import effective_chains
-from repro.net.nic import RecvWR
+from repro.net.nic import CQE, Opcode, RecvWR
+from repro.net.packet import Packet, PacketKind
+from repro.net.switch import Switch
 from repro.net.topology import host_id, is_host
 from repro.sim.engine import _Callback
 
@@ -75,6 +100,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["FlowFastForward"]
 
 _INF = float("inf")
+
+#: barrier-fold decline reasons (keys of ``barrier_declines``), in gate
+#: order; ``preempted`` counts folds finished at packet level instead
+BARRIER_REASONS = ("not_exclusive", "dead", "injectors", "entry",
+                   "qp_missing", "route", "dispatcher", "in_flight",
+                   "channel", "ties", "margin", "preempted")
 
 
 class _RxSession:
@@ -127,7 +158,14 @@ class FlowFastForward:
         self.ff_phases = 0  #: phases folded analytically
         self.ff_skipped_events = 0  #: estimated packet-level events avoided
         self.ff_aborts = 0  #: eligibility-gate bailouts (fell back)
+        self.ff_barriers = 0  #: RNR barriers folded in closed form
+        #: barrier folds declined (or preempted), by reason
+        self.barrier_declines: Dict[str, int] = dict.fromkeys(BARRIER_REASONS, 0)
         self._sessions: Dict[int, _Session] = {}
+        #: coll_id → its barrier fold, or None once declined
+        self._barriers: Dict[int, Optional[_BarrierFold]] = {}
+        #: paths of the last barrier's rank set (only survivors change it)
+        self._barrier_routes: Optional[_BarrierRoutes] = None
 
     def preempt_vec(self) -> None:
         """Flush every deferred vectorized session *now* — called before a
@@ -140,6 +178,95 @@ class FlowFastForward:
                 sess.vec = None
                 sess.poisoned = True
                 self.ff_aborts += 1
+
+    # --------------------------------------------------------- barrier fold
+
+    def try_barrier(self, engine: "RankEngine", op: "OpState",
+                    participants: List[int]) -> Optional[float]:
+        """Fold *op*'s RNR dissemination barrier (DESIGN §6g).
+
+        The first participant to arrive folds every rank's rounds at once;
+        each rank then gets its own exit instant.  ``None`` means run the
+        packet barrier (a gate failed, or the fold was preempted before
+        this rank entered)."""
+        cid = op.coll_id
+        if cid in self._barriers:
+            fold = self._barriers[cid]
+            return None if fold is None else fold.enter(engine.rank)
+        fold = self._fold_barrier(engine, op, participants)
+        if isinstance(fold, str):
+            self.barrier_declines[fold] += 1
+            self._barriers[cid] = None
+            return None
+        self._barriers[cid] = fold
+        self.ff_barriers += 1
+        return fold.enter(engine.rank)
+
+    def preempt_barriers(self) -> None:
+        """Called when a control-plane collective is admitted: a folded
+        barrier whose messages could still be overtaken by the newcomer's
+        (``now + d_lb`` at or before its last arrival) finishes at packet
+        level from this instant."""
+        now = self.sim.now
+        for fold in self._barriers.values():
+            if fold is not None and not fold.preempted \
+                    and now + fold.d_lb <= fold.last_arrival:
+                fold.materialize(now)
+                self.barrier_declines["preempted"] += 1
+
+    def release(self, coll_id: int) -> None:
+        """Forget a released collective's fold state."""
+        self._barriers.pop(coll_id, None)
+        self._sessions.pop(coll_id, None)
+
+    def _fold_barrier(self, engine: "RankEngine", op: "OpState",
+                      participants: List[int]) -> Union["_BarrierFold", str]:
+        """Gates, recurrences and commit of one barrier fold; returns the
+        fold, or the name of the gate that failed (nothing committed)."""
+        comm = self.comm
+        fabric = comm.fabric
+        cid = op.coll_id
+        if not comm.ff_exclusive(cid):
+            return "not_exclusive"
+        if (comm.dead_ranks or fabric.dead_hosts or fabric.dead_switches
+                or fabric.dead_links or fabric.pending_crashes):
+            return "dead"
+        # At most one data injector at exit: most ranks leave the barrier
+        # at the same instant, in an order the fold does not reproduce.
+        if op.kind == "allgather":
+            if effective_chains(len(participants), comm.config.n_chains) != 1:
+                return "injectors"
+        elif op.kind != "broadcast":
+            return "injectors"
+        t0 = self.sim.now
+        engines = comm.engines
+        for r in participants:
+            op_r = engines[r].ops.get(cid)
+            if op_r is None or op_r.aborted:
+                return "entry"
+            ph = op_r.phases
+            if ph and (len(ph) != 1 or ph.get("start") != t0):
+                return "entry"
+        routes = self._barrier_routes
+        if (routes is None or routes.ranks != participants
+                or routes.route_epoch != fabric.route_epoch):
+            routes = _BarrierRoutes.build(comm, participants)
+            if isinstance(routes, str):
+                return routes
+            self._barrier_routes = routes
+        sent = received = 0
+        for pl in routes.planes:
+            cq = pl.recv_cq
+            if cq.items or not cq._waiters:
+                return "dispatcher"
+            sent += pl.messages_sent
+            received += pl.messages_received
+        if sent != received:
+            return "in_flight"
+        links = routes.link_params(t0)
+        if links is None:
+            return "channel"
+        return _BarrierFold.fold(self, engine, op, routes, links, t0)
 
     # ------------------------------------------------------------ entry point
 
@@ -1488,3 +1615,428 @@ def _drain_cq(pending: List[float], lo: int, t: float) -> Tuple[float, int, int]
         return t, k, lo
     t = pending[lo]
     return t, 1, lo + 1
+
+
+# ------------------------------------------------------------------------
+# Barrier fold (DESIGN §6g)
+# ------------------------------------------------------------------------
+
+
+class _BarrierRoutes:
+    """The unicast paths of one participant list's dissemination barrier,
+    resolved once from the switches' routing tables and reused by every
+    barrier over the same ranks while the routes stand.
+
+    Per round ``k`` (distance ``2^k``), messages are indexed by sender
+    ``i``: ``hop_chan[k]`` / ``hop_sw[k]`` are ``[hops, P]`` channel and
+    forwarding-switch indices (``-1`` pads shorter paths and hop 0, which
+    no switch forwards).  Receiver-indexed lists (``rx_*``) serve the
+    per-message commit.
+    """
+
+    @classmethod
+    def build(cls, comm: "Communicator",
+              ranks: List[int]) -> Union["_BarrierRoutes", str]:
+        engines = comm.engines
+        P = len(ranks)
+        planes = [engines[r].ctrl for r in ranks]
+        dists = []
+        d = 1
+        while d < P:
+            dists.append(d)
+            d <<= 1
+        chans: list = []
+        chan_idx: Dict[int, int] = {}
+        sws: list = []
+        sw_idx: Dict[int, int] = {}
+        hop_chan = []
+        hop_sw = []
+        last_ch = []
+        tx_qp = []
+        rx_qp = []
+        rx_src = []
+        limit = len(comm.fabric.switches) + 2
+        for dist in dists:
+            paths = []
+            qps_k = []
+            lasts = []
+            for i in range(P):
+                j = (i + dist) % P
+                sqp = planes[i].qps.get(ranks[j])
+                rqp = planes[j].qps.get(ranks[i])
+                if sqp is None or rqp is None:
+                    return "qp_missing"
+                dst_nic = rqp.nic
+                if (sqp.nic is not planes[i].nic or dst_nic is not planes[j].nic
+                        or sqp.peer != (dst_nic.host, rqp.qpn)):
+                    return "route"
+                # Hop h: channel chs[h], entered through switch fwd[h].
+                chs = []
+                fwd = [-1]
+                ch = sqp.nic.egress
+                while True:
+                    if ch is None or len(chs) > limit:
+                        return "route"
+                    c = chan_idx.get(id(ch))
+                    if c is None:
+                        c = chan_idx[id(ch)] = len(chans)
+                        chans.append(ch)
+                    chs.append(c)
+                    node = ch.dst_node
+                    if node is dst_nic:
+                        break
+                    if not isinstance(node, Switch):
+                        return "route"
+                    nb = node.unicast_table.get(dst_nic.host)
+                    if nb is None:
+                        return "route"
+                    sidx = sw_idx.get(id(node))
+                    if sidx is None:
+                        sidx = sw_idx[id(node)] = len(sws)
+                        sws.append(node)
+                    fwd.append(sidx)
+                    ch = node.ports.get(nb)
+                paths.append((chs, fwd))
+                qps_k.append(sqp)
+                lasts.append(ch)
+            H = max(len(p[0]) for p in paths)
+            hc = np.full((H, P), -1, dtype=np.intp)
+            hs = np.full((H, P), -1, dtype=np.intp)
+            for i, (chs, fwd) in enumerate(paths):
+                hc[:len(chs), i] = chs
+                hs[:len(fwd), i] = fwd
+            hop_chan.append(hc)
+            hop_sw.append(hs)
+            last_ch.append(lasts)
+            tx_qp.append(qps_k)
+            rx_qp.append([planes[j].qps[ranks[(j - dist) % P]] for j in range(P)])
+            rx_src.append([ranks[(j - dist) % P] for j in range(P)])
+
+        self = cls()
+        self.route_epoch = comm.fabric.route_epoch
+        self.ranks = list(ranks)
+        self.index = {r: i for i, r in enumerate(ranks)}
+        self.P = P
+        self.R = len(dists)
+        self.dists = dists
+        self.planes = planes
+        self.chans = chans
+        self.sws = sws
+        self.hop_chan = hop_chan
+        self.hop_sw = hop_sw
+        self.last_ch = last_ch
+        self.tx_qp = tx_qp
+        self.rx_qp = rx_qp
+        self.rx_src = rx_src
+        hb = [pl.nic.header_bytes for pl in planes]
+        self.header = hb
+        self.wire = np.array([CTRL_PAYLOAD_BYTES + h for h in hb], dtype=float)
+        self.wire_max = CTRL_PAYLOAD_BYTES + max(hb)
+        # Every barrier sends the same messages: counter totals are static.
+        all_c = np.concatenate([hc.ravel() for hc in hop_chan])
+        all_w = np.concatenate([np.tile(self.wire, hc.shape[0])
+                                for hc in hop_chan])
+        keep = all_c >= 0
+        pkts = np.bincount(all_c[keep], minlength=len(chans))
+        wire_bytes = np.bincount(all_c[keep], weights=all_w[keep],
+                                 minlength=len(chans))
+        self.chan_commit = [(chans[c], int(pkts[c]), int(wire_bytes[c]))
+                            for c in np.flatnonzero(pkts)]
+        all_s = np.concatenate([hs.ravel() for hs in hop_sw])
+        spk = np.bincount(all_s[all_s >= 0], minlength=len(sws))
+        self.sw_commit = [(sws[s], int(spk[s])) for s in np.flatnonzero(spk)]
+        # Lower-bound ingredients of any host-to-host control delay among
+        # these ranks: the sender's egress hop, then (when hosts hang off
+        # switches) one forwarding delay and the receiver's ingress hop.
+        nics = {id(pl.nic) for pl in planes}
+        self.egress = [pl.nic.egress for pl in planes]
+        self.via_switch = all(isinstance(ch.dst_node, Switch)
+                              for ch in self.egress)
+        self.ingress = [ch for ch in comm.fabric.channels.values()
+                        if id(ch.dst_node) in nics]
+        self.fabric = comm.fabric
+        return self
+
+    def link_params(self, t0: float):
+        """Per-channel gates and parameters at fold time: ``(bw, lat,
+        fwd, d_lb)`` with a neutral sentinel appended at index ``-1``
+        (``w/inf + 0.0`` is an exact no-op), or ``None`` when a channel
+        could delay or lose a control message differently from the
+        nominal bypass lane."""
+        wmax = self.wire_max
+        n = len(self.chans)
+        bw = np.empty(n + 1)
+        lat = np.empty(n + 1)
+        for c, ch in enumerate(self.chans):
+            if ch.down or wmax > ch.ctrl_bypass_bytes:
+                return None
+            f = ch.fault
+            if f is not None:
+                # RC is protected from drops and jitter unless told
+                # otherwise; a bandwidth window slows every packet.
+                if not f.protect_reliable:
+                    return None
+                for w in f.bandwidth_windows:
+                    if w.end > t0:
+                        return None
+            bw[c] = ch.bandwidth
+            lat[c] = ch.latency
+        bw[n] = _INF
+        lat[n] = 0.0
+        fwd = np.array([sw.forwarding_delay for sw in self.sws] + [0.0])
+        w = float(self.wire.min())
+        d_lb = min(w / ch.bandwidth + ch.latency for ch in self.egress)
+        if self.via_switch:
+            d_lb += min(sw.forwarding_delay
+                        for sw in self.fabric.switches.values())
+            d_lb += min(w / ch.bandwidth + ch.latency for ch in self.ingress)
+        # Headroom for the rounding of the float chains it bounds.
+        return bw, lat, fwd, d_lb * (1.0 - 1e-6)
+
+
+class _BarrierFold:
+    """One folded barrier: every rank's round instants, committed state
+    and what a preempt needs to hand the rest back to the packet path.
+
+    Arrays are ``[rounds, P]``: ``S`` (round starts; row ``R`` holds the
+    exits) is rank-indexed, ``A``/``ST``/``D`` (arrival, dispatch start,
+    dispatch done) are indexed by the receiving rank.
+    """
+
+    @classmethod
+    def fold(cls, ff: "FlowFastForward", engine: "RankEngine", op: "OpState",
+             routes: _BarrierRoutes, links, t0: float):
+        """Run every round's recurrences from *t0*; returns the committed
+        fold, or the guard that failed (nothing committed)."""
+        bw, lat, fwd, d_lb = links
+        P, R = routes.P, routes.R
+        planes = routes.planes
+        w = routes.wire
+        c = np.array([pl.per_message_cost for pl in planes])
+        floor0 = np.array([pl.busy_until for pl in planes])
+        prev = floor0
+        s = np.full(P, t0)
+        S = [s]
+        A = []
+        ST = []
+        D = []
+        for k in range(R):
+            hc = routes.hop_chan[k]
+            hs = routes.hop_sw[k]
+            # Per hop: the switch's forwarding delay, then serialization
+            # and propagation, in the packet engine's own order.
+            t = s
+            for h in range(hc.shape[0]):
+                if h:
+                    t = t + fwd[hs[h]]
+                ch = hc[h]
+                t = t + w / bw[ch]
+                t = t + lat[ch]
+            a = np.roll(t, routes.dists[k])
+            if A and not (a > A[-1]).all():
+                return "ties"
+            # Dispatcher chain, then the round step.
+            st = np.maximum(a, prev)
+            d = st + c
+            s = np.maximum(s, d)
+            A.append(a)
+            ST.append(st)
+            D.append(d)
+            S.append(s)
+            prev = d
+        last_arrival = float(A[-1].max())
+        # Fence: nothing sent after any exit may land among the folded
+        # messages.
+        if not last_arrival < float(s.min()) + d_lb:
+            return "margin"
+
+        self = cls()
+        self.ff = ff
+        self.sim = ff.sim
+        self.routes = routes
+        self.tag = op.coll_id
+        self.S = np.array(S)
+        self.A = np.array(A)
+        self.ST = np.array(ST)
+        self.D = np.array(D)
+        self.floor0 = floor0
+        self.exits = s.tolist()
+        self.d_lb = d_lb
+        self.last_arrival = last_arrival
+        self.entered = [False] * P
+        self.preempted = False
+        self._commit()
+        trc = engine.trace
+        if trc is not None:
+            trc.instant("engine.ff_barrier", t0,
+                        {"ranks": P, "rounds": R, "until": float(s.max())})
+        return self
+
+    def enter(self, rank: int) -> Optional[float]:
+        if self.preempted:
+            return None
+        i = self.routes.index[rank]
+        self.entered[i] = True
+        return self.exits[i]
+
+    # ---------------------------------------------------------------- commit
+
+    def _commit(self) -> None:
+        """Write the whole barrier's packet-path state at once: channel
+        and switch counters, NIC receive counters, receive-slot rotation,
+        CQ pushes, message counts, ``last_heard`` and the dispatchers'
+        busy horizon."""
+        routes = self.routes
+        R = routes.R
+        pay = CTRL_PAYLOAD_BYTES
+        for ch, n, wire_bytes in routes.chan_commit:
+            ch.bytes_sent += wire_bytes
+            ch.payload_bytes_sent += n * pay
+            ch.packets_sent += n
+        for sw, n in routes.sw_commit:
+            sw.packets_forwarded += n
+        last_done = self.D[-1].tolist()
+        bases = []
+        for pl, busy in zip(routes.planes, last_done):
+            pl.messages_sent += R
+            pl.messages_received += R
+            pl.recv_cq.total_pushed += R
+            pl.busy_until = busy
+            nic = pl.nic
+            nic.packets_received += R
+            nic.bytes_received += R * pay
+            base = next(nic._msg_counter)
+            nic._msg_counter = itertools.count(base + R)
+            bases.append(base)
+        self.msg_base = bases
+        lhs = [pl.last_heard for pl in routes.planes]
+        old_heard = []
+        for k in range(R):
+            olds = []
+            for lh, src, qp, d in zip(lhs, routes.rx_src[k], routes.rx_qp[k],
+                                      self.D[k].tolist()):
+                olds.append(lh.get(src))
+                lh[src] = d
+                rq = qp.recv_queue
+                rq.append(rq.popleft())
+            old_heard.append(olds)
+        self.old_heard = old_heard
+
+    # --------------------------------------------------------------- preempt
+
+    def materialize(self, now: float) -> None:
+        """Hand the rest of the barrier to the packet path at *now*.
+
+        Every message is classified by where the packet engine would have
+        it now — unsent, on the wire, queued in the receiver's CQ, in the
+        dispatcher, or done — and its eagerly committed state is rolled
+        back to match; blocked ranks resume the barrier generator at
+        their current round.  An event of the barrier at exactly *now*
+        counts as not yet happened.
+        """
+        self.preempted = True
+        routes = self.routes
+        sim = self.sim
+        P, R = routes.P, routes.R
+        ranks = routes.ranks
+        planes = routes.planes
+        pay = CTRL_PAYLOAD_BYTES
+        S, A, ST, D = self.S, self.A, self.ST, self.D
+        entered = np.array(self.entered)
+        sent_tx = np.vstack([np.ones(P, dtype=bool)]
+                            + [S[k] < now for k in range(1, R)]) & entered
+        sent = np.array([np.roll(sent_tx[k], routes.dists[k])
+                         for k in range(R)])
+        started = sent & (ST < now)
+
+        # --- sender side of unsent messages ------------------------------
+        unsent_tx = ~sent_tx
+        if unsent_tx.any():
+            n_ch = len(routes.chans)
+            cnt = np.zeros(n_ch + 1, dtype=np.int64)
+            wsum = np.zeros(n_ch + 1)
+            scnt = np.zeros(len(routes.sws) + 1, dtype=np.int64)
+            for k in range(R):
+                m = unsent_tx[k]
+                if not m.any():
+                    continue
+                hc = routes.hop_chan[k][:, m]
+                np.add.at(cnt, hc.ravel(), 1)
+                np.add.at(wsum, hc.ravel(), np.tile(routes.wire[m], hc.shape[0]))
+                np.add.at(scnt, routes.hop_sw[k][:, m].ravel(), 1)
+            for c in np.flatnonzero(cnt[:n_ch]):
+                ch = routes.chans[c]
+                ch.bytes_sent -= int(wsum[c])
+                ch.payload_bytes_sent -= int(cnt[c]) * pay
+                ch.packets_sent -= int(cnt[c])
+            for sidx in np.flatnonzero(scnt[:-1]):
+                routes.sws[sidx].packets_forwarded -= int(scnt[sidx])
+            n_sent = sent_tx.sum(axis=0).tolist()
+            for i, pl in enumerate(planes):
+                if n_sent[i] < R:
+                    pl.messages_sent -= R - n_sent[i]
+                    pl.nic._msg_counter = itertools.count(
+                        self.msg_base[i] + n_sent[i])
+
+        # --- receive side, in arrival order per receiver -----------------
+        for k in range(R):
+            dist = routes.dists[k]
+            tag_key = (self.tag << 6) | k
+            for j in np.flatnonzero(~(sent[k] & (D[k] < now))).tolist():
+                pl = planes[j]
+                src = routes.rx_src[k][j]
+                qp = routes.rx_qp[k][j]
+                rq = qp.recv_queue
+                pl.messages_received -= 1
+                old = self.old_heard[k][j]
+                if old is None:
+                    pl.last_heard.pop(src, None)
+                else:
+                    pl.last_heard[src] = old
+                a = float(A[k, j])
+                if not sent[k, j] or a >= now:
+                    # Not landed yet: undo the landing entirely.
+                    rq.appendleft(rq.pop())
+                    pl.nic.packets_received -= 1
+                    pl.nic.bytes_received -= pay
+                    pl.recv_cq.total_pushed -= 1
+                    if sent[k, j]:
+                        i = (j - dist) % P
+                        words = planes[i].encode(MSG_BARRIER, tag_key)
+                        sqp = routes.tx_qp[k][i]
+                        pkt = Packet(
+                            src=sqp.nic.host, dst=qp.nic.host,
+                            kind=PacketKind.RC_SEND,
+                            payload=words.view(np.uint8), payload_len=pay,
+                            header_bytes=routes.header[i], qpn=qp.qpn,
+                            src_qpn=sqp.qpn, msg_id=self.msg_base[i] + k)
+                        sim.post_at(a, qp.nic.receive, pkt,
+                                    routes.last_ch[k][i])
+                    continue
+                # Landed: its slot is consumed until the dispatcher is done.
+                wr = rq.pop()
+                if started[k, j]:
+                    msg = CtrlMessage(src, MSG_BARRIER, tag_key, (0, 0, 0))
+                    sim.post_at(float(D[k, j]), pl.finish_folded,
+                                wr.wr_id, msg)
+                else:
+                    words = planes[(j - dist) % P].encode(MSG_BARRIER, tag_key)
+                    pl.stage_folded(wr.wr_id, words)
+                    pl.recv_cq.total_pushed -= 1
+                    sqp = routes.tx_qp[k][(j - dist) % P]
+                    pl.recv_cq.push_at(
+                        CQE(wr.wr_id, Opcode.RECV, qp.qpn, pay, None,
+                            sqp.nic.host, sqp.qpn), a)
+
+        # --- dispatchers: busy through the message in progress -----------
+        busy = np.where(started, D, -_INF).max(axis=0)
+        for pl, b, f in zip(planes, busy.tolist(), self.floor0.tolist()):
+            pl.busy_until = b if b > f else f
+
+        # --- ranks still inside the barrier resume it at packet level ----
+        procs = dict(self.ff.comm._op_procs.get(self.tag, ()))
+        for i in range(P):
+            if entered[i] and S[R, i] >= now:
+                rnd = int(np.flatnonzero(sent_tx[:, i])[-1])
+                procs[ranks[i]].interrupt(rnd)
+        self.S = self.A = self.ST = self.D = self.old_heard = None

@@ -104,6 +104,10 @@ class Process(Event):
         self._triggered = True
         self._ok = ok
         self._value = value
+        # Break the self-cycle through the bound method, so a finished
+        # process (and the value it returned) is freed by reference
+        # counting instead of waiting for the cycle collector.
+        self._resume_cb = None
         self.sim.schedule(self, 0.0)
 
     def wake(self, value: Any = None) -> bool:

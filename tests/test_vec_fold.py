@@ -33,9 +33,10 @@ from repro.units import gbit_per_s
 
 #: engine keys that differ between the fold and the packet engine by
 #: design: the fold replaces packet events, finisher events and CQE
-#: batches with arithmetic
+#: batches with arithmetic, and reports which tier ran
 EVENT_KEYS = {"sim_events", "ff_phases", "ff_skipped_events", "ff_aborts",
-              "cqe_batches", "batched_cqes"}
+              "cqe_batches", "batched_cqes", "ff_barriers",
+              "ff_barrier_declines"}
 
 
 def make_comm(P: int, seed: int = 7, *, transport: str = "ud",
