@@ -128,8 +128,8 @@ class CollectiveConfig:
     #: ``"off"`` — packet/train level everywhere.  ``"exact"`` —
     #: bit-identical virtual time, counters and payload to the
     #: packet-level engine (the fold replicates the slow-path float
-    #: arithmetic, over numpy receiver arrays where the collective's shape
-    #: allows; any eligibility-gate failure falls back transparently).
+    #: arithmetic, every receiver's chain as one numpy array recurrence;
+    #: any eligibility-gate failure falls back transparently).
     fast_forward: str = "off"
     #: cutoff-timer slack α (§III-C): timeout = N/B_link + α
     cutoff_alpha: float = 200e-6

@@ -25,15 +25,18 @@ compare virtual time, counters and payload digests, never event counts.
 
 Vectorized fold-commit
 ----------------------
-Multi-chunk phases with enough receivers fold their per-receiver chains
-as ``[n_rx]``-wide numpy array ops (``_fold_receivers_vec``), and the
-single-chunk Allgather chain runs as a deferred-commit session
-(:class:`_Vec1Session`) over one elementwise host-lane kernel
-(:class:`_HostLanes`).  Both evaluate the same IEEE-754 operations in
-the same order as the scalar fold, so they sit inside the exactness
-contract; which one runs is decided by collective shape alone.  Fault
-changes made outside the fabric's fault schedule while a folded phase's
-packets are in flight are outside the contract (DESIGN §6d).
+The receive side of every fold — the worker's CQE chain and (UD) the
+staging DMA drain — is one ``[n_rx]``-wide elementwise recurrence
+(:func:`_rx_chain`) over the phase's ``(n_chunks, n_rx)`` arrival
+columns, for every phase shape.  The generic fold runs it over all of a
+phase's receivers at once; the single-chunk Allgather chain runs as a
+deferred-commit session (:class:`_Vec1Session`) whose host-lane kernel
+(:class:`_HostLanes`) runs it for one chunk per phase.  numpy's float64
+``maximum``/add are the same IEEE-754 operations, in the same order, as
+the slow path's expressions, so both sit inside the exactness contract.
+Which one runs is decided by collective shape alone.  Fault changes made
+outside the fabric's fault schedule while a folded phase's packets are
+in flight are outside the contract (DESIGN §6d).
 
 Eligibility gates (any failure falls back to packet level, permanently
 for the rest of that collective so cursors stay exact):
@@ -79,7 +82,6 @@ it (:meth:`FlowFastForward.preempt_barriers`).
 from __future__ import annotations
 
 import itertools
-from heapq import heappush
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -90,7 +92,6 @@ from repro.net.nic import CQE, Opcode, RecvWR
 from repro.net.packet import Packet, PacketKind
 from repro.net.switch import Switch
 from repro.net.topology import host_id, is_host
-from repro.sim.engine import _Callback
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
@@ -127,25 +128,18 @@ class _Session:
     collective ran at packet level, every later phase must too — the
     analytic worker cursors would otherwise drift from the real ones.
 
-    ``lens``/``wires``/``rx_folds`` are per-phase scratch buffers hoisted
-    to the session so the Allgather chain (O(P) phases) does not allocate
-    three fresh lists per phase.  ``vec`` holds the deferred-commit
-    vectorized session when the collective qualifies (see
-    :class:`_Vec1Session`); ``vec_unsupported`` latches a shape rejection
-    so the probe runs once per collective.
+    ``vec`` holds the deferred-commit vectorized session when the
+    collective qualifies (see :class:`_Vec1Session`); ``vec_unsupported``
+    latches a shape rejection so the probe runs once per collective.
     """
 
-    __slots__ = ("poisoned", "rx", "vec", "vec_unsupported",
-                 "lens", "wires", "rx_folds")
+    __slots__ = ("poisoned", "rx", "vec", "vec_unsupported")
 
     def __init__(self) -> None:
         self.poisoned = False
         self.rx: Dict[int, _RxSession] = {}
         self.vec = None
         self.vec_unsupported = False
-        self.lens: List[int] = []
-        self.wires: List[int] = []
-        self.rx_folds: List[tuple] = []
 
 
 class FlowFastForward:
@@ -228,8 +222,7 @@ class FlowFastForward:
         cid = op.coll_id
         if not comm.ff_exclusive(cid):
             return "not_exclusive"
-        if (comm.dead_ranks or fabric.dead_hosts or fabric.dead_switches
-                or fabric.dead_links or fabric.pending_crashes):
+        if self._unclean():
             return "dead"
         # At most one data injector at exit: most ranks leave the barrier
         # at the same instant, in an order the fold does not reproduce.
@@ -303,6 +296,15 @@ class FlowFastForward:
 
     # ------------------------------------------------------------------ gates
 
+    def _unclean(self) -> bool:
+        """A dead rank, host, switch or link, or a crash still scheduled:
+        both the data fold and the barrier fold refuse to run then."""
+        comm = self.comm
+        fabric = comm.fabric
+        return bool(comm.dead_ranks or fabric.dead_hosts
+                    or fabric.dead_switches or fabric.dead_links
+                    or fabric.pending_crashes)
+
     def _attempt(self, engine: "RankEngine", op: "OpState",
                  participants: List[int], sess: _Session) -> Optional[float]:
         comm = self.comm
@@ -334,8 +336,7 @@ class FlowFastForward:
             # serialize correctly.
             if effective_chains(len(participants), cfg.n_chains) != 1:
                 return None
-        if (comm.dead_ranks or fabric.dead_hosts or fabric.dead_switches
-                or fabric.dead_links or fabric.pending_crashes):
+        if self._unclean():
             return None
         if op.aborted or op.dead_ranks:
             return None
@@ -366,14 +367,8 @@ class FlowFastForward:
         uc = cfg.transport == "uc"
         plan = op.plan
         header = engine.nic.header_bytes
-        lens = sess.lens
-        del lens[:]
-        for psn in range(op.send_lo, op.send_hi):
-            lens.append(plan.bounds(psn)[1])
-        wires = sess.wires
-        del wires[:]
-        for ln in lens:
-            wires.append(ln + header)
+        lens = [plan.bounds(psn)[1] for psn in range(op.send_lo, op.send_hi)]
+        wires = [ln + header for ln in lens]
         gid = comm.mcast_gids[0]
 
         # --- sender fold: doorbell batching + egress busy chain -----------
@@ -400,30 +395,12 @@ class FlowFastForward:
 
         # --- receiver folds: worker chain + staging DMA drain -------------
         t_hook = sim.now
-        rx_folds = sess.rx_folds
-        del rx_folds[:]
-        fin_max = send_done
-        if (n_chunks >= 4 and not fabric._stragglers
-                and n_chunks * len(arrivals_by_host) >= 512):
-            # Matrix path: the per-receiver chains are independent, so the
-            # chunk loop runs as [n_rx]-wide array ops (same expressions,
-            # same order — bitwise identical to _fold_receiver).
-            fin_max = self._fold_receivers_vec(
-                engines, rx_ranks, arrivals_by_host, cid, lens, uc, sess,
-                t_hook, rx_folds, fin_max)
-            if fin_max is None:
-                return None
-        else:
-            for host, arrivals in arrivals_by_host.items():
-                rank = rx_ranks[host]
-                fold = self._fold_receiver(engines[rank],
-                                           engines[rank].ops[cid],
-                                           arrivals, lens, uc, sess, t_hook)
-                if fold is None:
-                    return None
-                rx_folds.append(fold)
-                if fold[4] > fin_max:
-                    fin_max = fold[4]
+        rx_fold = self._fold_receivers(rx_ranks, arrivals_by_host, cid,
+                                       lens, uc, sess, t_hook)
+        if rx_fold is None:
+            return None
+        rx_folds, fin_rx = rx_fold
+        fin_max = fin_rx if fin_rx > send_done else send_done
 
         # --- global deadline gate: the fold must land before any armed
         # (or arming) cutoff can fire, so recovery/fetch never observes the
@@ -432,7 +409,7 @@ class FlowFastForward:
             return None
 
         # --------------------------------------------------------- commit
-        self._commit(engine, op, sess, chans, switch_counts, rx_folds,
+        self._commit(engine, op, chans, switch_counts, rx_folds,
                      lens, n_chunks, n_batches, send_done, fin_max, uc)
         return send_done
 
@@ -500,11 +477,8 @@ class FlowFastForward:
         # Per-chunk train membership: a batch rides the wire as one train
         # iff it has >= 2 packets and every channel from the root down had
         # coalescing enabled (a per-packet hop breaks the train for all
-        # downstream hops).  When no batch can train (all singletons) the
-        # flag lists are elided entirely — the single-chunk-per-phase
-        # Allgather schedule hits this walk O(P) times per collective.
+        # downstream hops).
         base_flags = [sz >= 2 for sz in batch_sizes]
-        has_trains = True in base_flags
         arrivals0 = [f + egress.latency for f in egress_finishes]
         chans: List[tuple] = []
         arrivals_by_host: Dict[int, List[float]] = {}
@@ -512,16 +486,12 @@ class FlowFastForward:
         bytes_sum = sum(wires)
         payload_sum = bytes_sum - n * engine.nic.header_bytes
 
-        if has_trains:
-            eg_flags = [f and egress.coalescing for f in base_flags]
-            eg_trains, eg_tp = _count_trains(eg_flags, batch_sizes)
-        else:
-            eg_flags = None
-            eg_trains = eg_tp = 0
+        eg_flags = [f and egress.coalescing for f in base_flags]
+        eg_trains, eg_tp = _count_trains(eg_flags, batch_sizes)
         chans.append((egress, egress.busy_until
                       if not egress_finishes else egress_finishes[-1],
                       n, bytes_sum, payload_sum, eg_trains, eg_tp))
-        stack: List[Tuple[str, str, List[float], Optional[List[bool]]]] = [
+        stack: List[Tuple[str, str, List[float], List[bool]]] = [
             (egress.dst_name, egress.src_name, arrivals0, eg_flags)
         ]
         while stack:
@@ -551,23 +521,13 @@ class FlowFastForward:
                 bw = ch.bandwidth
                 lat = ch.latency
                 prev = ch.busy_until
-                if n == 1:
-                    t_inj = inj[0]
+                outs_lat = []
+                for i, t_inj in enumerate(inj):
                     start = t_inj if t_inj > prev else prev
-                    prev = start + wires[0] / bw
-                    outs_lat = [prev + lat]
-                else:
-                    outs_lat = []
-                    for i, t_inj in enumerate(inj):
-                        start = t_inj if t_inj > prev else prev
-                        prev = start + wires[i] / bw
-                        outs_lat.append(prev + lat)
-                if flags is not None:
-                    ch_flags = [f and ch.coalescing for f in flags]
-                    trains, tp = _count_trains(ch_flags, batch_sizes)
-                else:
-                    ch_flags = None
-                    trains = tp = 0
+                    prev = start + wires[i] / bw
+                    outs_lat.append(prev + lat)
+                ch_flags = [f and ch.coalescing for f in flags]
+                trains, tp = _count_trains(ch_flags, batch_sizes)
                 chans.append((ch, prev, n, bytes_sum, payload_sum,
                               trains, tp))
                 switch_counts[sw] = switch_counts.get(sw, 0) + n
@@ -576,142 +536,79 @@ class FlowFastForward:
 
     # --------------------------------------------------------- receiver fold
 
-    def _fold_receiver(self, rx_engine: "RankEngine", op_r: "OpState",
-                       arrivals: List[float], lens: List[int], uc: bool,
-                       sess: _Session, t_hook: float):
-        """Replicate the receive worker's per-CQE slow path and (UD) the
-        staging DMA drain for one receiver over this fold's arrivals.
+    def _fold_receivers(self, rx_ranks: Dict[int, int],
+                        arrivals_by_host: Dict[int, List[float]], cid: int,
+                        lens: List[int], uc: bool, sess: _Session,
+                        t_hook: float):
+        """Replicate every receiver's receive-worker CQE chain and (UD)
+        staging DMA drain over this fold's arrivals, through one
+        :func:`_rx_chain` over all receivers at once.
 
-        Returns a flat tuple (not a dict): the Allgather chain schedule
-        runs this O(P) times per phase, O(P^2) per collective, so the
-        per-receiver constant is the scaling bottleneck.
-        """
-        qp = rx_engine.sub_qps[0]
-        n = len(arrivals)
-        # No-RNR gate: the NIC consumes one posted WR per arrival, and the
-        # fold's own reposts all land after its last arrival — so the
-        # currently posted depth alone must cover the fold.
-        if n > len(qp.recv_queue):
-            return None
-        rx = sess.rx.get(rx_engine.rank)
-        if rx is None:
-            rx = sess.rx[rx_engine.rank] = _RxSession()
-        # Strict non-interleave: FIFO busy chains guarantee later folds
-        # arrive strictly after earlier ones; a tie means contention the
-        # fold ordering cannot resolve.
-        if arrivals[0] <= rx.last_arrival:
-            return None
-        cost = rx_engine.cost
-        c1 = cost.cqe_poll + cost.cqe_process
-        t = rx.cursor
-        dma = rx_engine.dma
-        dma_busy = dma.busy_until
-        if uc:
-            c2 = cost.recv_repost
-            for a in arrivals:
-                anchor = a if a > t else t
-                t = (anchor + (c1 + 0.0))
-                t = t + c2
-            fin = t
-        else:
-            dma_bw = dma.bandwidth
-            dma_lat = dma.latency
-            c2 = cost.copy_issue + cost.recv_repost
-            for a, ln in zip(arrivals, lens):
-                anchor = a if a > t else t
-                t = (anchor + (c1 + 0.0))
-                t = t + c2
-                start = t if t > dma_busy else dma_busy
-                dma_busy = start + ln / dma_bw
-            fin = dma_busy + dma_lat
-        # Straggler veto over the whole folded window (every CQE-poll
-        # stall sample in [t_hook, fin] must be zero).
-        if not rx_engine.fabric.straggler_inert(rx_engine.nic.host,
-                                                t_hook, fin):
-            return None
-        return (rx_engine, op_r, qp, rx, fin, t, dma_busy, arrivals[-1])
-
-    def _fold_receivers_vec(self, engines, rx_ranks, arrivals_by_host,
-                            cid: int, lens: List[int], uc: bool,
-                            sess: _Session, t_hook: float,
-                            rx_folds: List[tuple], fin_max: float):
-        """Vectorized :meth:`_fold_receiver`: one ``[n_rx]`` array op chain
-        instead of a Python loop per receiver.
-
-        ``numpy``'s elementwise ``maximum``/add are the same IEEE-754
-        operations the scalar expressions evaluate, in the same order per
-        receiver, so every fold tuple is bit-identical to the scalar path.
-        Only called with no straggler specs installed (``straggler_inert``
-        is then trivially true for every window — same gate outcome).
-        Returns the updated ``fin_max``, or ``None`` on any gate failure
+        Returns ``(rx_folds, fin_rx)``: one commit record per receiver and
+        the latest receiver done instant.  ``None`` on any gate failure
         (no state committed either way).
         """
+        engines = self.comm.engines
         items = list(arrivals_by_host.items())
         n_rx = len(items)
         n = len(lens)
         rx_engines = []
-        ops_r = []
         qps = []
         rxs = []
-        t0 = np.empty(n_rx)
-        dma0 = np.empty(n_rx)
+        cursor = np.empty(n_rx)
+        dma_busy = np.empty(n_rx)
         for k, (host, arrivals) in enumerate(items):
             rank = rx_ranks[host]
             e = engines[rank]
             qp = e.sub_qps[0]
+            # No-RNR gate: the NIC consumes one posted WR per arrival, and
+            # the fold's own reposts all land after its last arrival — so
+            # the currently posted depth alone must cover the fold.
             if n > len(qp.recv_queue):
                 return None
             rx = sess.rx.get(rank)
             if rx is None:
                 rx = sess.rx[rank] = _RxSession()
+            # Strict non-interleave: FIFO busy chains guarantee later folds
+            # arrive strictly after earlier ones; a tie means contention
+            # the fold ordering cannot resolve.
             if arrivals[0] <= rx.last_arrival:
                 return None
             rx_engines.append(e)
-            ops_r.append(e.ops[cid])
             qps.append(qp)
             rxs.append(rx)
-            t0[k] = rx.cursor
-            dma0[k] = e.dma.busy_until
+            cursor[k] = rx.cursor
+            dma_busy[k] = e.dma.busy_until
         # Every rank shares the communicator's cost model object, so the
         # scalar constants are uniform across the receiver axis.
         cost = rx_engines[0].cost
         c1 = cost.cqe_poll + cost.cqe_process
         # (n, n_rx) with contiguous per-chunk rows for the chunk loop.
         cols = np.ascontiguousarray(np.array([a for _, a in items]).T)
-        t = t0
         if uc:
-            c2 = cost.recv_repost
-            for i in range(n):
-                anchor = np.maximum(cols[i], t)
-                t = anchor + c1
-                t = t + c2
-            fins = t
-            dma_busy = dma0
+            t, _, fins = _rx_chain(cols, lens, cursor, c1, cost.recv_repost)
         else:
-            c2 = cost.copy_issue + cost.recv_repost
-            dma_bw = np.array([e.dma.bandwidth for e in rx_engines])
-            dma_lat = np.array([e.dma.latency for e in rx_engines])
-            dma_busy = dma0
-            for i in range(n):
-                anchor = np.maximum(cols[i], t)
-                t = anchor + c1
-                t = t + c2
-                start = np.maximum(t, dma_busy)
-                dma_busy = start + lens[i] / dma_bw
-            fins = dma_busy + dma_lat
+            t, dma_busy, fins = _rx_chain(
+                cols, lens, cursor, c1, cost.copy_issue + cost.recv_repost,
+                dma_busy, np.array([e.dma.bandwidth for e in rx_engines]),
+                np.array([e.dma.latency for e in rx_engines]))
+        fabric = self.comm.fabric
+        rx_folds = []
         for k in range(n_rx):
             fin = float(fins[k])
-            rx_folds.append((rx_engines[k], ops_r[k], qps[k], rxs[k], fin,
-                             float(t[k]), float(dma_busy[k]),
+            # Straggler veto over the whole folded window (every CQE-poll
+            # stall sample in [t_hook, fin] must be zero).
+            if fabric._stragglers and not fabric.straggler_inert(
+                    rx_engines[k].nic.host, t_hook, fin):
+                return None
+            rx_folds.append((rx_engines[k], rx_engines[k].ops[cid], qps[k],
+                             rxs[k], fin, float(t[k]), float(dma_busy[k]),
                              items[k][1][-1]))
-            if fin > fin_max:
-                fin_max = fin
-        return fin_max
+        return rx_folds, float(fins.max())
 
     def _deadlines_clear(self, participants: List[int], cid: int,
                          t_hook: float, fin_max: float) -> bool:
         comm = self.comm
-        cfg = comm.config
         for r in participants:
             eng = comm.engines[r]
             op_r = eng.ops[cid]
@@ -725,17 +622,7 @@ class FlowFastForward:
                 # Not yet armed: it will arm at >= t_hook with at least
                 # this expected + slack allowance (the controller's own
                 # formula), so this is a conservative lower bound.
-                n_workers = max(cfg.recv_workers or cfg.n_subgroups, 1)
-                sw_rate = (
-                    eng.cost.recv_rate(cfg.chunk_size,
-                                       uc=cfg.transport == "uc") * n_workers
-                    if eng.cost.per_recv_chunk > 0
-                    else _INF
-                )
-                recv_rate = min(eng.fabric.link_bandwidth, sw_rate)
-                expected = op_r.plan.buffer_len / recv_rate
-                slack = (eng.cutoff.slack() if cfg.adaptive_cutoff
-                         else cfg.cutoff_alpha)
+                expected, slack = eng.cutoff_budget(op_r)
                 deadline = t_hook + expected + slack
             if fin_max >= deadline:
                 return False
@@ -743,7 +630,7 @@ class FlowFastForward:
 
     # ---------------------------------------------------------------- commit
 
-    def _commit(self, engine, op, sess, chans, switch_counts, rx_folds,
+    def _commit(self, engine, op, chans, switch_counts, rx_folds,
                 lens, n_chunks, n_batches, send_done, fin_max, uc):
         sim = self.sim
         trc = engine.trace
@@ -774,14 +661,7 @@ class FlowFastForward:
         payload_total = int(src.nbytes)
         lens_total = sum(lens)
         psn_lo = op.send_lo
-        single = n_chunks == 1
         finish = self._finish_fold
-        # Finisher scheduling bypasses ``Simulator.post_at``: the Allgather
-        # chain posts one finisher per receiver per phase (O(P^2) over the
-        # collective), and every ``fin`` is provably >= now, so the method
-        # call + past-check overhead is pure constant-factor loss at scale.
-        queue = sim._queue
-        seq = sim._seq
         for rx_engine, op_r, qp, rx, fin, cursor, dma_busy, last_a in rx_folds:
             nic = rx_engine.nic
             nic.packets_received += n_chunks
@@ -790,36 +670,19 @@ class FlowFastForward:
             # The NIC consumed one posted WR per arrival; the worker (UD:
             # the DMA-drain callback) re-posts each at its done instant.
             rq = qp.recv_queue
-            if single:
-                popped = rq.popleft()
-                if uc:
-                    # UC recv WRs are zero-length dummies; the consumed WR
-                    # is field-for-field the repost the worker would build.
-                    wrs = [popped]
-                    staging = None
-                else:
-                    wrs = [popped]
-                    staging = rx_engine.stagings[0]
-                    dma = rx_engine.dma
-                    dma.busy_until = dma_busy
-                    dma.bytes_copied += lens_total
-                    dma.ops += 1
-                op_r.bitmap.set(psn_lo)
-                op_r.placed.set(psn_lo)
+            wrs = [rq.popleft() for _ in range(n_chunks)]
+            if uc:
+                # UC recv WRs are zero-length dummies; the consumed WR is
+                # field-for-field the repost the worker would build.
+                staging = None
             else:
-                popped = [rq.popleft() for _ in range(n_chunks)]
-                if uc:
-                    wrs = popped
-                    staging = None
-                else:
-                    wrs = popped
-                    staging = rx_engine.stagings[0]
-                    dma = rx_engine.dma
-                    dma.busy_until = dma_busy
-                    dma.bytes_copied += lens_total
-                    dma.ops += n_chunks
-                op_r.bitmap.set_range(psn_lo, n_chunks)
-                op_r.placed.set_range(psn_lo, n_chunks)
+                staging = rx_engine.stagings[0]
+                dma = rx_engine.dma
+                dma.busy_until = dma_busy
+                dma.bytes_copied += lens_total
+                dma.ops += n_chunks
+            op_r.bitmap.set_range(psn_lo, n_chunks)
+            op_r.placed.set_range(psn_lo, n_chunks)
             # Payload: the real path stages through slot memory (UD) or
             # places per packet (UC); byte-for-byte this is one slice copy.
             op_r.mr.buf[lo_off:lo_off + payload_total] = src
@@ -829,10 +692,7 @@ class FlowFastForward:
             rx.last_arrival = last_a
             if cursor > rx_engine.ff_resume_floor:
                 rx_engine.ff_resume_floor = cursor
-            seq += 1
-            heappush(queue, (fin, seq, _Callback(finish,
-                                                 (op_r, qp, wrs, staging))))
-        sim._seq = seq
+            sim.post_at(fin, finish, op_r, qp, wrs, staging)
         # --- watchdog liveness over the folded window ---------------------
         if sim._wd_armed and sim._wd_interval > 0.0:
             step = sim._wd_interval / 2.0
@@ -873,13 +733,12 @@ class _HostLanes:
     ``final_state``), so a veto needs only ``rollback``.
     """
 
-    def __init__(self, uc: bool, c1: float, c2: float, leaf_of: np.ndarray,
+    def __init__(self, c1: float, c2: float, leaf_of: np.ndarray,
                  bw: np.ndarray, lat: np.ndarray, hd_busy: np.ndarray,
                  dma_bw: Optional[np.ndarray] = None,
                  dma_lat: Optional[np.ndarray] = None,
                  dma_busy: Optional[np.ndarray] = None) -> None:
         n = len(hd_busy)
-        self.uc = uc
         self.c1 = c1
         self.c2 = c2
         self.leaf_of = leaf_of
@@ -910,16 +769,17 @@ class _HostLanes:
         ``(ok, fin_max, fins)``; ``fins`` holds every lane's done instant,
         ``-inf`` for the sender.
 
-        Every expression replicates the scalar fold's arithmetic
-        elementwise — same operation shapes, same order — so the
-        committed instants are bit-identical to the per-receiver loop
+        The edge chain replicates the tree walk's arithmetic elementwise
+        and the receive side is the generic fold's own :func:`_rx_chain`
+        for one chunk, so the committed instants are bit-identical to it
         (DESIGN §6d exactness contract).
         """
         self.commit()
         # The sender receives nothing: compute the full vectors, then
         # restore its lane from the old state below.
+        dma0 = self.dma_busy
         save = (self.hd_busy[s], self.cursor[s], self.last_arr[s],
-                self.last_fin[s], None if self.uc else self.dma_busy[s])
+                self.last_fin[s], None if dma0 is None else dma0[s])
         inj = leaf_inj[self.leaf_of]
         start = np.maximum(inj, self.hd_busy)
         hd_busy = start + w / self.bw
@@ -929,16 +789,10 @@ class _HostLanes:
         ok_arr[s] = True
         if not ok_arr.all():
             return False, -_INF, None
-        anchor = np.maximum(a, self.cursor)
-        t = anchor + self.c1
-        t = t + self.c2
-        if self.uc:
-            fins = t  # UC fin is the worker cursor itself
-            dma_busy = None
-        else:
-            d_start = np.maximum(t, self.dma_busy)
-            dma_busy = d_start + ln / self.dma_bw
-            fins = dma_busy + self.dma_lat
+        t, dma_busy, fins = _rx_chain((a,), (ln,), self.cursor, self.c1,
+                                      self.c2, dma0, self.dma_bw,
+                                      self.dma_lat)
+        if dma_busy is not None:
             dma_busy[s] = save[4]
         hd_busy[s] = save[0]
         t[s] = save[1]
@@ -981,19 +835,19 @@ class _Vec1Session:
 
     Exactness: every expression replicates the generic fold's float
     arithmetic elementwise (numpy float64 ops are the same IEEE-754
-    operations), so committed instants are bit-identical to the scalar
+    operations), so committed instants are bit-identical to the generic
     fold and the packet engine.  Gate *strictness* may diverge (this
-    session caches conservative bounds where the scalar fold
+    session caches conservative bounds where the generic fold
     recomputes); that is invisible — the packet path the abort falls
     back to is itself bitwise-identical to the fold.  Receiver lanes are
     ordered by (canonical position of the hosting switch, rank).
 
-    Known seam: the scalar fold pops a receive WR per fold and re-posts
+    Known seam: the generic fold pops a receive WR per fold and re-posts
     it at the fold's finisher; this session leaves the queue untouched
     (the popped WR is field-for-field its own repost — UC dummies, UD
     cached staging WRs — so the rotation is unobservable).  After an
-    abort, queue *depth* can therefore transiently exceed the scalar
-    engine's until the pending finisher instants pass; a divergence would
+    abort, queue *depth* can therefore transiently exceed the generic
+    fold's until the pending finisher instants pass; a divergence would
     additionally require an RNR-drop in that window, i.e. a posted depth
     smaller than the phases in flight, which the no-RNR envelope gate
     refuses to fold in the first place.
@@ -1240,23 +1094,13 @@ class _Vec1Session:
         md = _INF
         unarmed: List[int] = []
         expslack = np.zeros(P)
-        n_workers = max(cfg.recv_workers or cfg.n_subgroups, 1)
         for j in range(P):
             d = self.ops[j].cutoff_deadline
             if d < _INF:
                 if d < md:
                     md = d
             else:
-                e = self.engines_p[j]
-                sw_rate = (
-                    e.cost.recv_rate(cfg.chunk_size, uc=uc) * n_workers
-                    if e.cost.per_recv_chunk > 0
-                    else _INF
-                )
-                recv_rate = min(fabric.link_bandwidth, sw_rate)
-                expected = self.ops[j].plan.buffer_len / recv_rate
-                slack = (e.cutoff.slack() if cfg.adaptive_cutoff
-                         else cfg.cutoff_alpha)
+                expected, slack = self.engines_p[j].cutoff_budget(self.ops[j])
                 expslack[j] = expected + slack
                 unarmed.append(j)
         self.md = md
@@ -1274,15 +1118,14 @@ class _Vec1Session:
         self.completed = [False] * P
 
         # --- host-lane kernel ----------------------------------------------
+        c1 = cost.cqe_poll + cost.cqe_process
         if uc:
-            self.lanes = _HostLanes(
-                True, cost.cqe_poll + cost.cqe_process, cost.recv_repost,
-                s_bpos, hd_bw, hd_lat, hd_busy)
+            self.lanes = _HostLanes(c1, cost.recv_repost,
+                                    s_bpos, hd_bw, hd_lat, hd_busy)
         else:
             engines_p = self.engines_p
             self.lanes = _HostLanes(
-                False, cost.cqe_poll + cost.cqe_process,
-                cost.copy_issue + cost.recv_repost,
+                c1, cost.copy_issue + cost.recv_repost,
                 s_bpos, hd_bw, hd_lat, hd_busy,
                 np.array([e.dma.bandwidth for e in engines_p]),
                 np.array([e.dma.latency for e in engines_p]),
@@ -1478,7 +1321,7 @@ class _Vec1Session:
             lf = float(last_fin[j])
             if lf > now:
                 # The last folded receive is still "in flight": hold
-                # completion to its finisher instant, like the scalar fold.
+                # completion to its finisher instant, like the generic fold.
                 op_r.ff_hold += 1
                 sim.post_at(lf, self._release_hold, j)
         self.sess.vec = None
@@ -1585,6 +1428,36 @@ class _Vec1Session:
         # so each forwards (tree-ports - 1) packets per folded phase.
         for sw, nports in self.tree_sw:
             sw.packets_forwarded += nf * (nports - 1)
+
+
+def _rx_chain(cols, lens, cursor: np.ndarray, c1: float, c2: float,
+              dma_busy: Optional[np.ndarray] = None,
+              dma_bw: Optional[np.ndarray] = None,
+              dma_lat: Optional[np.ndarray] = None):
+    """The receive datapath of ``n_rx`` independent receivers over
+    ``len(cols)`` chunks (paper §V): per CQE the worker polls and
+    processes it (``c1``) and re-posts its WR (``c2``, plus the staging
+    copy issue on UD); on UD the staging DMA engine then drains each
+    chunk (``lens[i]`` bytes) in arrival order.
+
+    ``cols[i]`` is chunk *i*'s ``[n_rx]`` arrival column; ``cursor`` and
+    ``dma_busy`` (``None`` on UC) the workers' and DMA engines' state
+    before the first chunk.  Inputs are never written.  Returns the new
+    ``(cursor, dma_busy, fins)``, ``fins`` being each receiver's done
+    instant.  The expressions and their order are the per-packet slow
+    path's, elementwise, so every instant is bit-identical to it.
+    """
+    t = cursor
+    for i in range(len(cols)):
+        anchor = np.maximum(cols[i], t)
+        t = anchor + c1
+        t = t + c2
+        if dma_busy is not None:
+            start = np.maximum(t, dma_busy)
+            dma_busy = start + lens[i] / dma_bw
+    if dma_busy is None:
+        return t, None, t  # UC: done once the worker re-posts
+    return t, dma_busy, dma_busy + dma_lat
 
 
 def _count_trains(flags: List[bool], batch_sizes: List[int]) -> Tuple[int, int]:

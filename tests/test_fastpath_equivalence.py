@@ -315,7 +315,7 @@ def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
 
 def _assert_ff_exact(kind: str, seed: int, fault_factory=None,
                      transport: str = "ud", straggler=None,
-                     expect_folds: bool = True) -> None:
+                     expect_folds: bool = True):
     comm_ff, res_ff = _run_ff(kind, seed, "exact", fault_factory,
                               transport, straggler)
     comm_off, res_off = _run_ff(kind, seed, "off", fault_factory,
@@ -347,6 +347,7 @@ def _assert_ff_exact(kind: str, seed: int, fault_factory=None,
         assert res_ff.engine["ff_phases"] == 0, (
             "fast-forward must stay off while a fault schedule is live"
         )
+    return res_ff
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
@@ -365,14 +366,32 @@ def test_ff_exact_lossy_equivalence(kind: str, seed: int) -> None:
     _assert_ff_exact(kind, seed, fault_factory=_lossy, expect_folds=False)
 
 
+#: (ff_phases, ff_aborts) per straggler window on host 3.
+_STRAGGLER_FOLDS = {
+    # slow for the whole run: no phase may fold
+    (0.0, 1e-3): {"broadcast": (0, 1), "allgather": (0, 16)},
+    # slow from mid-collective: the first phases fold, then a receiver's
+    # folded interval meets the window and the rest runs at packet level
+    (30e-6, 1e-3): {"broadcast": (0, 1), "allgather": (2, 14)},
+    # slow only after the collective: every phase folds with the
+    # straggler spec installed
+    (1.0, 2.0): {"broadcast": (1, 0), "allgather": (16, 0)},
+}
+
+
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_ff_exact_straggler_equivalence(kind: str, seed: int) -> None:
     # A straggler window overlapping any receiver's folded interval vetoes
-    # the fold (fabric.straggler_inert); with host 3 slow for the whole
-    # run, no phase may fold and results stay bit-identical.
-    spec = StragglerSpec(windows=[(0.0, 1e-3)], extra_poll_delay=300e-9)
-    _assert_ff_exact(kind, seed, straggler=(3, spec), expect_folds=False)
+    # the fold (fabric.straggler_inert, checked per receiver on its done
+    # instant); results stay bit-identical whichever way the veto goes.
+    for window, folds in _STRAGGLER_FOLDS.items():
+        spec = StragglerSpec(windows=[window], extra_poll_delay=300e-9)
+        phases, aborts = folds[kind]
+        res = _assert_ff_exact(kind, seed, straggler=(3, spec),
+                               expect_folds=phases > 0)
+        assert (res.engine["ff_phases"], res.engine["ff_aborts"]) == \
+            (phases, aborts), f"straggler window {window}"
 
 
 def test_ff_poisons_collective_after_fallback() -> None:

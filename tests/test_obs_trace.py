@@ -137,13 +137,30 @@ def test_all_emitted_names_are_catalogued(lossy_traced):
         assert r.name in TRACEPOINTS, r.name
 
 
-def test_tracepoint_lint_tool_passes(capsys):
+def _lint_tool():
     root = pathlib.Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
         "check_tracepoints", root / "tools" / "check_tracepoints.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    assert mod.main() == 0, capsys.readouterr().out
+    return mod
+
+
+def test_tracepoint_lint_tool_passes(capsys):
+    assert _lint_tool().main() == 0, capsys.readouterr().out
+
+
+def test_tracepoint_lint_sees_multi_line_call_sites():
+    text = ("x = 1\n"
+            "trc.instant(\n"
+            "    \"engine.ff_enter\", now, None)\n"
+            "trc.instant(\n"
+            "    \"bogus.unregistered\", now, None)\n")
+    used = set()
+    violations = _lint_tool().scan(text, "mod.py", used)
+    assert used == {"engine.ff_enter", "bogus.unregistered"}
+    assert len(violations) == 1
+    assert violations[0].startswith("mod.py:5: tracepoint 'bogus.unregistered'")
 
 
 # ------------------------------------------------------------- reconciliation

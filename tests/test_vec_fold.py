@@ -13,7 +13,7 @@ so those engine keys are excluded from the comparison.
 One known divergence is pinned rather than hidden: a fault installed by
 a raw ``sim.post_at`` while a folded phase's packets are in flight is
 outside the exactness contract.  There the vectorized session is checked
-against the scalar fold, and the packet-engine comparison is a strict
+against the generic fold, and the packet-engine comparison is a strict
 xfail.
 """
 
@@ -89,8 +89,8 @@ def test_allgather_vec_matches_packet_engine(transport, seed):
 
 @pytest.mark.parametrize("seed", [7, 23])
 def test_broadcast_vec_matches_packet_engine(seed):
-    # Broadcast folds whole multi-chunk phases: the vec receiver-fold
-    # (matrix path) engages at n_chunks * n_rx >= 512.
+    # Broadcast folds whole multi-chunk phases through the generic fold's
+    # array receiver kernel.
     P = 32
     data = np.arange(64 * 1024, dtype=np.uint8).reshape(-1) % 199
     ref = make_comm(P, seed, ff="off").broadcast(0, data)
@@ -160,9 +160,9 @@ def test_mid_run_fault_install_flushes_bitwise(monkeypatch, t_inject):
     # Install a dropping fault mid-collective: the deferred-commit session
     # must flush every folded phase's channel/bitmap/payload state at the
     # abort, and the packet-level path (plus recovery for the dropped
-    # chunks) must complete from it at exactly the scalar fold's instant.
+    # chunks) must complete from it at exactly the generic fold's instant.
     # The two inject times abort the chain near its head (1 folded phase)
-    # and mid-chain (~7 of 16).  The reference is the scalar fold (every
+    # and mid-chain (~7 of 16).  The reference is the generic fold (every
     # deferred-commit session declined), not the packet engine: see the
     # xfail below.
     res = _run_mid_run_fault(t_inject)

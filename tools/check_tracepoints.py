@@ -40,24 +40,31 @@ REQUIRED_EMITTED = {
 }
 
 
+def scan(text: str, rel: str, used: set) -> list:
+    """Violations at the call sites in one file's *text*; adds every
+    name found to *used*.  The whole text is matched at once, so a call
+    whose name sits on a later line than ``.instant(`` is still seen."""
+    violations = []
+    for m in CALL_RE.finditer(text):
+        name = m.group(2)
+        lineno = text.count("\n", 0, m.start(2)) + 1
+        used.add(name)
+        if not NAME_RE.match(name):
+            violations.append(
+                f"{rel}:{lineno}: tracepoint {name!r} does not match "
+                f"subsystem.verb ({NAME_RE.pattern})")
+        elif name not in TRACEPOINTS:
+            violations.append(
+                f"{rel}:{lineno}: tracepoint {name!r} is not registered "
+                f"in repro.obs.schema.TRACEPOINTS")
+    return violations
+
+
 def main() -> int:
     violations = []
     used = set()
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        text = path.read_text()
-        for lineno, line in enumerate(text.splitlines(), 1):
-            for m in CALL_RE.finditer(line):
-                name = m.group(2)
-                rel = path.relative_to(ROOT)
-                used.add(name)
-                if not NAME_RE.match(name):
-                    violations.append(
-                        f"{rel}:{lineno}: tracepoint {name!r} does not match "
-                        f"subsystem.verb ({NAME_RE.pattern})")
-                elif name not in TRACEPOINTS:
-                    violations.append(
-                        f"{rel}:{lineno}: tracepoint {name!r} is not registered "
-                        f"in repro.obs.schema.TRACEPOINTS")
+        violations += scan(path.read_text(), str(path.relative_to(ROOT)), used)
     missing_required = sorted(REQUIRED_EMITTED - set(TRACEPOINTS))
     for name in missing_required:
         violations.append(
